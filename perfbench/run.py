@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Benchmark of the adherence pipeline, driven in-process through its CLI.
 
-    python3 perfbench/run.py --workload desk --seed 1 --seconds 45 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 45
+    python3 perfbench/run.py --workload desk --seed 1 --seconds 55 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 55
 
 A workload is a closed loop of `adherence` commands, the argv an analyst
 types, run one after another in this process over the workload's databases.
 Set-up (imports, BLAS warm-up, and `generate` writing the databases) is
 repeated SETUP_REPEATS times. Then, while --seconds allows, the run repeats
-rounds of preparation (`ingest`, `build`, `stats` of every database) and of
-modelling (the workload's `cv`, `train`, `predict` on every database); each
-end-to-end metric is the median over its rounds. Database j of a run with
-seed s is generated, cross-validated and trained with seed 10 * s + j; the
-program sees only the inputs it generates.
+cycles over its databases in turn: preparation (`ingest`, `build`, `stats`)
+and then modelling (the workload's `cv`, `train`, `predict`) of one
+database. Database j of a run with seed s is generated, cross-validated and
+trained with seed 10 * s + j; the program sees only the inputs it generates.
+
+setup_s adds the import time to the median `generate`. prepare_s and
+model_s sum, over the commands of their phase, each command's median wall
+time in the run: a burst of load on a shared host slows one run of a
+command, not the median of that command. Each phase's fastest and slowest
+round are printed beside them.
 
 With --trace 1 the run makes one untraced pass (`generate`, preparation,
 modelling, once each) and two traced passes, and reports per-layer metrics:
@@ -187,13 +192,20 @@ class Run:
             self.failed += 1
             print(f"failed: adherence {' '.join(argv)} -> {status}", file=sys.stderr)
 
-    def commands(self, cmds, databases=None) -> float:
-        """Wall seconds of running the commands on each database in turn."""
+    def commands(self, cmds, databases=None, times=None) -> float:
+        """Wall seconds of running the commands on each database in turn.
+
+        `times`, if given, collects each command's wall seconds under its
+        database and position in `cmds`.
+        """
         start = time.perf_counter()
         for db in databases or self.databases:
             os.chdir(db.path)
-            for argv in cmds:
+            for i, argv in enumerate(cmds):
+                began = time.perf_counter()
                 self.command(argv, db)
+                if times is not None:
+                    times.setdefault((db.path.name, i), []).append(time.perf_counter() - began)
         return time.perf_counter() - start
 
     def check(self, what: str, test) -> bool:
@@ -302,22 +314,31 @@ def _train_predict_roundtrip(run: Run, databases: list[Database]) -> bool:
 def measure(run: Run, wl: Workload, seconds: float, import_s: float) -> dict[str, float]:
     """End-to-end metrics, tracing off."""
     setups = [run.commands([GENERATE]) for _ in range(SETUP_REPEATS)]
-    # Each round goes to the phase measured for less time so far: both phases
-    # get about half of the run, however long their rounds are.
-    rounds = {PREPARE: [], wl.model: []}
+    # One cycle prepares and models one database, so that a run of several
+    # databases ends close to its time limit: every database once, then
+    # while the next cycle is expected to end within the run.
+    phases = {"prepare": PREPARE, "model": wl.model}
+    times = {phase: {} for phase in phases}
+    rounds = {phase: [] for phase in phases}
+    cycles = []
     start = time.perf_counter()
-    while True:
-        cmds = min(rounds, key=lambda c: sum(rounds[c]))
-        if all(rounds.values()) and time.perf_counter() - start + _median(rounds[cmds]) > seconds:
-            break
-        rounds[cmds].append(run.commands(cmds))
+    while len(cycles) < len(run.databases) or time.perf_counter() - start + _median(cycles) <= seconds:
+        began = time.perf_counter()
+        db = run.databases[len(cycles) % len(run.databases)]
+        for phase, cmds in phases.items():
+            rounds[phase].append(run.commands(cmds, [db], times[phase]))
+        cycles.append(time.perf_counter() - began)
+    phase_s = {phase: sum(_median(t) for t in times[phase].values()) for phase in phases}
+    for phase, walls in rounds.items():
+        print(f"{phase}: {len(walls)} rounds of one database, {phase_s[phase]:.4g} s summed per-command"
+              f" medians, fastest round {min(walls):.4g} s, slowest {max(walls):.4g} s")
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     scores = verify(run, wl)
     learned = [s for kind, values in scores.items() if kind != "majority" for s in values]
     return {
         "setup_s": import_s + _median(setups),
-        "prepare_s": _median(rounds[PREPARE]),
-        "model_s": _median(rounds[wl.model]),
+        "prepare_s": phase_s["prepare"],
+        "model_s": phase_s["model"],
         "score_pooled": statistics.fmean(learned) if learned else 0.0,
         "peak_rss_mb": peak_rss_mb,
     }
