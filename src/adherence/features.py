@@ -227,7 +227,7 @@ def transform(ds: TabularDataset, state: PreprocessState) -> TabularDataset:
 def _format_cell(v: float) -> str:
     if math.isnan(v):
         return ""
-    if v == int(v) and abs(v) < 1e15:
+    if abs(v) < 1e15 and v == int(v):  # abs first: int() overflows on +-inf
         return str(int(v))
     return repr(float(v))  # shortest exact round-trip representation
 
@@ -269,6 +269,10 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: {len(row)} cell(s), but the header has {len(header)}"
+                )
             cells = [math.nan if c == "" else float(c) for c in row[: len(columns)]]
             X_rows.append(cells)
             if labeled:

@@ -182,7 +182,7 @@ def _parse_date(raw: str) -> date:
 def _read_table(path: Path, required: list[str], table: str) -> tuple[list[str], list[list[str]]]:
     if not path.exists():
         raise IngestError(f"{table}: missing file {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

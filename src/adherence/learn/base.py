@@ -54,6 +54,8 @@ class Model:
             raise ValueError("labels must be binary {0, 1}")
         if np.isnan(X).any():
             raise ValueError("X contains nulls; impute before fitting")
+        if np.isinf(X).any():
+            raise ValueError("X contains infinite values")
         if feature_names is not None and len(feature_names) != X.shape[1]:
             raise ValueError("feature_names length must match X width")
         self.feature_names = list(feature_names) if feature_names is not None else None

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ class ForestConfig:
     features_per_split: int | None = None  # None = round(sqrt(d)) rule
     bootstrap: bool = True
     seed: int = 0
-    n_jobs: int = 1
 
 
 class RandomForest(Model):
@@ -34,7 +32,6 @@ class RandomForest(Model):
             raise ValueError("n_trees must be >= 1")
         self.cfg = cfg
         self.trees_: list = []
-        self.importances_: np.ndarray | None = None
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n, d = X.shape
@@ -49,37 +46,16 @@ class RandomForest(Model):
             max_features=min(m, d),
         )
         codes = _split.column_codes(X)
-
-        def build(t: int):
-            # Per-tree sub-streams keep the forest identical across thread counts.
+        self.trees_ = []
+        for t in range(self.cfg.n_trees):
             rng = rngmod.substream(self.cfg.seed, "forest-tree", t)
             idx = rng.integers(0, n, size=n) if self.cfg.bootstrap else np.arange(n)
-            return grow_tree(X, y, idx, tree_cfg, rng, codes)
-
-        if self.cfg.n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=self.cfg.n_jobs) as ex:
-                self.trees_ = list(ex.map(build, range(self.cfg.n_trees)))
-        else:
-            self.trees_ = [build(t) for t in range(self.cfg.n_trees)]
-        self.importances_ = self._aggregate_importances(d)
-
-    def _aggregate_importances(self, d: int) -> np.ndarray | None:
-        acc = np.zeros(d)
-        contributing = 0
-        for tree in self.trees_:
-            total = tree.importance.sum()
-            if total > 0:
-                acc += tree.importance / total
-                contributing += 1
-        if contributing == 0:
-            return None
-        acc /= contributing
-        return acc / acc.sum()
+            self.trees_.append(grow_tree(X, y, idx, tree_cfg, rng, codes))
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         p1 = np.zeros(X.shape[0])
         for tree in self.trees_:
-            p1 += tree.predict_prob1(X)
+            p1 += tree.predict(X)
         p1 /= len(self.trees_)
         return np.column_stack([1.0 - p1, p1])
 
@@ -87,9 +63,17 @@ class RandomForest(Model):
         """Mean decrease in Gini impurity per feature, normalized to sum 1."""
         if not self.is_fitted:
             raise ValueError("forest is not fitted")
-        if self.importances_ is None:
+        acc = np.zeros(self.n_features_)
+        contributing = 0
+        for tree in self.trees_:
+            total = tree.importance.sum()
+            if total > 0:
+                acc += tree.importance / total
+                contributing += 1
+        if contributing == 0:
             raise ValueError("importance undefined: no tree performed any split")
-        return self.importances_.copy()
+        acc /= contributing
+        return acc / acc.sum()
 
 
 def forest_importance(model: RandomForest) -> np.ndarray:

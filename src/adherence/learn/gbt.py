@@ -15,6 +15,7 @@ import numpy as np
 
 from . import _split
 from .base import Model
+from .tree import _Tree, best_split, grow
 
 _GAIN_EPS = 1e-12
 
@@ -37,89 +38,34 @@ class GbtConfig:
             raise ValueError("n_rounds must be >= 1")
 
 
-class _GbtTree:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, feature, threshold, left, right, value):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.value = np.asarray(value, dtype=np.float64)
-
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            active = np.flatnonzero(self.feature[node] >= 0)
-            if active.size == 0:
-                return self.value[node]
-            cur = node[active]
-            go_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-
-
 def _leaf_weight(G: float, H: float, l2: float) -> float:
     denom = H + l2
     return 0.0 if denom <= 0 else -G / denom
 
 
-def _best_split(X, g, h, rows, cfg, codes):
-    G = float(g[rows].sum())
-    H = float(h[rows].sum())
+def _round_tree(X, g, h, cfg, codes) -> _Tree:
+    """One round's regression tree: second-order gain and leaf weights."""
     l2 = cfg.l2_lambda
-    parent_score = G * G / (H + l2) if H + l2 > 0 else 0.0
-    best = None  # (gain, feature, threshold)
-    for f in range(X.shape[1]):
-        col_codes = codes[f]
-        res = _split.scan(X[rows, f], [g[rows], h[rows]], col_codes[rows] if col_codes is not None else None)
-        if res is None:
-            continue
-        thresholds, _, (GL, HL) = res
-        GR = G - GL
-        HR = H - HL
-        valid = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight) & (HL + l2 > 0) & (HR + l2 > 0)
-        if not valid.any():
-            continue
-        gain = np.full(thresholds.size, -np.inf)
-        gain[valid] = 0.5 * (
-            GL[valid] ** 2 / (HL[valid] + l2) + GR[valid] ** 2 / (HR[valid] + l2) - parent_score
-        )
-        pos = int(np.argmax(gain))
-        if gain[pos] > _GAIN_EPS and (best is None or gain[pos] > best[0]):
-            best = (float(gain[pos]), f, float(thresholds[pos]))
-    return best, G, H
+    feats = np.arange(X.shape[1])
 
+    def find_split(rows, depth, totals):
+        if depth >= cfg.max_depth or rows.size < 2:
+            return None
+        G, H = totals
+        parent_score = G * G / (H + l2) if H + l2 > 0 else 0.0
 
-def _grow(X, g, h, cfg, codes) -> _GbtTree:
-    feature, threshold, left, right, value = [], [], [], [], []
-    stack = [(np.arange(X.shape[0]), 0, -1, False)]
-    while stack:
-        rows, depth, parent, is_right = stack.pop()
-        node_id = len(feature)
-        if parent >= 0:
-            (right if is_right else left)[parent] = node_id
-        best = None
-        if depth < cfg.max_depth and rows.size >= 2:
-            best, G, H = _best_split(X, g, h, rows, cfg, codes)
-        else:
-            G, H = float(g[rows].sum()), float(h[rows].sum())
-        if best is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(_leaf_weight(G, H, cfg.l2_lambda))
-            continue
-        _, f, thr = best
-        go_left = X[rows, f] <= thr
-        feature.append(f)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        stack.append((rows[~go_left], depth + 1, node_id, True))
-        stack.append((rows[go_left], depth + 1, node_id, False))
-    return _GbtTree(feature, threshold, left, right, value)
+        def gain(n_left, sums):
+            GL, HL = sums
+            GR = G - GL
+            HR = H - HL
+            valid = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight) & (HL + l2 > 0) & (HR + l2 > 0)
+            out = np.full(GL.size, -np.inf)
+            out[valid] = 0.5 * (GL[valid] ** 2 / (HL[valid] + l2) + GR[valid] ** 2 / (HR[valid] + l2) - parent_score)
+            return out
+
+        return best_split(X, rows, feats, codes, [g, h], gain, 0.0, _GAIN_EPS)
+
+    return grow(X, np.arange(X.shape[0]), [g, h], find_split, lambda n, totals: _leaf_weight(*totals, l2))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -142,7 +88,7 @@ class GradientBoostedTrees(Model):
     def __init__(self, cfg: GbtConfig = GbtConfig()):
         super().__init__()
         self.cfg = cfg
-        self.trees_: list[_GbtTree] = []
+        self.trees_: list[_Tree] = []
         self.train_losses_: list[float] = []  # loss before round 1, then per round
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -157,14 +103,14 @@ class GradientBoostedTrees(Model):
             p = _sigmoid(F)
             g = p - y_f
             h = p * (1.0 - p)
-            tree = _grow(X, g, h, self.cfg, codes)
+            tree = _round_tree(X, g, h, self.cfg, codes)
             self.trees_.append(tree)
-            F += self.cfg.learning_rate * tree.predict_value(X)
+            F += self.cfg.learning_rate * tree.predict(X)
             self.train_losses_.append(_logistic_loss(F, y_f))
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         F = np.zeros(X.shape[0])
         for tree in self.trees_:
-            F += self.cfg.learning_rate * tree.predict_value(X)
+            F += self.cfg.learning_rate * tree.predict(X)
         p1 = _sigmoid(F)
         return np.column_stack([1.0 - p1, p1])

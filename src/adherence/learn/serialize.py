@@ -18,13 +18,13 @@ import numpy as np
 from ..features import PreprocessState
 from .base import MajorityConfig, MajorityModel, Model
 from .forest import ForestConfig, RandomForest
-from .gbt import GbtConfig, GradientBoostedTrees, _GbtTree
+from .gbt import GbtConfig, GradientBoostedTrees
 from .knn import KnnConfig, KnnClassifier
 from .mlp import MlpConfig, MlpClassifier
 from .tree import DecisionTree, TreeConfig, _Tree
 
 MODEL_FORMAT = "adherence-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 CONFIG_TYPES = {
     "knn": KnnConfig,
@@ -44,6 +44,15 @@ MODEL_TYPES = {
     "majority": MajorityModel,
 }
 
+# Top-level keys of a model document and their JSON types.
+_DOC_FIELDS = {
+    "kind": str,
+    "config": dict,
+    "n_features": int,
+    "feature_names": (list, type(None)),
+    "params": dict,
+}
+
 
 def encode_array(a: np.ndarray) -> dict:
     a = np.ascontiguousarray(a)
@@ -57,47 +66,24 @@ def decode_array(d: dict) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
 
 
-def _pack_cart(tree: _Tree) -> dict:
-    return {
-        "feature": encode_array(tree.feature),
-        "threshold": encode_array(tree.threshold),
-        "left": encode_array(tree.left),
-        "right": encode_array(tree.right),
-        "prob1": encode_array(tree.prob1),
-        "importance": encode_array(tree.importance),
-    }
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "importance")
 
 
-def _unpack_cart(d: dict) -> _Tree:
-    return _Tree(*(decode_array(d[k]) for k in ("feature", "threshold", "left", "right", "prob1", "importance")))
+def _pack_tree(tree: _Tree) -> dict:
+    return {k: encode_array(getattr(tree, k)) for k in _TREE_ARRAYS}
 
 
-def _pack_gbt_tree(tree: _GbtTree) -> dict:
-    return {
-        "feature": encode_array(tree.feature),
-        "threshold": encode_array(tree.threshold),
-        "left": encode_array(tree.left),
-        "right": encode_array(tree.right),
-        "value": encode_array(tree.value),
-    }
-
-
-def _unpack_gbt_tree(d: dict) -> _GbtTree:
-    return _GbtTree(*(decode_array(d[k]) for k in ("feature", "threshold", "left", "right", "value")))
+def _unpack_tree(d: dict) -> _Tree:
+    return _Tree(*(decode_array(d[k]) for k in _TREE_ARRAYS))
 
 
 def _pack_params(model: Model) -> dict:
     if isinstance(model, KnnClassifier):
         return {"X": encode_array(model.X_), "y": encode_array(model.y_)}
     if isinstance(model, DecisionTree):
-        return {"tree": _pack_cart(model.tree_)}
-    if isinstance(model, RandomForest):
-        return {
-            "trees": [_pack_cart(t) for t in model.trees_],
-            "importances": None if model.importances_ is None else encode_array(model.importances_),
-        }
-    if isinstance(model, GradientBoostedTrees):
-        return {"trees": [_pack_gbt_tree(t) for t in model.trees_]}
+        return {"tree": _pack_tree(model.tree_)}
+    if isinstance(model, (RandomForest, GradientBoostedTrees)):
+        return {"trees": [_pack_tree(t) for t in model.trees_]}
     if isinstance(model, MlpClassifier):
         return {
             "weights": [encode_array(W) for W in model.weights_],
@@ -113,12 +99,9 @@ def _unpack_params(model: Model, params: dict) -> None:
         model.X_ = decode_array(params["X"])
         model.y_ = decode_array(params["y"])
     elif isinstance(model, DecisionTree):
-        model.tree_ = _unpack_cart(params["tree"])
-    elif isinstance(model, RandomForest):
-        model.trees_ = [_unpack_cart(t) for t in params["trees"]]
-        model.importances_ = None if params["importances"] is None else decode_array(params["importances"])
-    elif isinstance(model, GradientBoostedTrees):
-        model.trees_ = [_unpack_gbt_tree(t) for t in params["trees"]]
+        model.tree_ = _unpack_tree(params["tree"])
+    elif isinstance(model, (RandomForest, GradientBoostedTrees)):
+        model.trees_ = [_unpack_tree(t) for t in params["trees"]]
     elif isinstance(model, MlpClassifier):
         model.weights_ = [decode_array(W) for W in params["weights"]]
         model.biases_ = [decode_array(b) for b in params["biases"]]
@@ -174,18 +157,26 @@ def load_model(path: str | Path) -> tuple[Model, PreprocessState | None]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"corrupt model file {path}: {exc}") from None
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model file: {path}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('format_version')}")
+    for key, types in _DOC_FIELDS.items():
+        if key not in doc:
+            raise ValueError(f"malformed model file {path}: missing key {key!r}")
+        if not isinstance(doc[key], types) or isinstance(doc[key], bool):
+            raise ValueError(f"malformed model file {path}: key {key!r} has type {type(doc[key]).__name__}")
     kind = doc["kind"]
     if kind not in MODEL_TYPES:
         raise ValueError(f"unknown model kind {kind!r}")
     cfg = config_from_dict(kind, doc["config"])
     model = MODEL_TYPES[kind](cfg)
-    model.n_features_ = int(doc["n_features"])
+    model.n_features_ = doc["n_features"]
     model.feature_names = doc["feature_names"]
-    _unpack_params(model, doc["params"])
+    try:
+        _unpack_params(model, doc["params"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model file {path}: bad {kind} params ({exc!r})") from None
     preprocess = None if doc.get("preprocess") is None else _unpack_preprocess(doc["preprocess"])
     return model, preprocess
 

@@ -240,3 +240,60 @@ class TestManifests:
         monkeypatch.setenv("ADHERENCE_OUT", str(target))
         assert run("generate", "--seed", "1", "--n-users", "5") == 0
         assert (target / "manifest_generate.json").exists()
+
+
+class TestMalformedInputs:
+    def trained_model(self, tmp_path):
+        rng = np.random.default_rng(8)
+        write_dataset_csv(make_dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, 40)), tmp_path / "ds.csv")
+        assert run("train", "--dataset", str(tmp_path / "ds.csv"), "--model", "tree",
+                   "--no-preprocess", "--out", str(tmp_path / "t")) == 0
+        return tmp_path / "t" / "model.json"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("kind", None, "missing key 'kind'"),
+            ("config", None, "missing key 'config'"),
+            ("n_features", None, "missing key 'n_features'"),
+            ("feature_names", None, "missing key 'feature_names'"),
+            ("params", None, "missing key 'params'"),
+            ("n_features", "3", "key 'n_features' has type str"),
+            ("params", [], "key 'params' has type list"),
+            ("params", {}, "bad tree params (KeyError('tree'))"),
+            ("format_version", 1, "unsupported model format version 1"),
+        ],
+        ids=["no-kind", "no-config", "no-n_features", "no-feature_names", "no-params",
+             "str-n_features", "list-params", "empty-params", "format-version-1"],
+    )
+    def test_bad_model_file_is_one_error_line(self, tmp_path, capsys, key, value, message):
+        path = self.trained_model(tmp_path)
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("predict", "--model-file", str(path), "--dataset", str(tmp_path / "ds.csv"),
+                   "--out", str(tmp_path / "p"))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error [predict]: ")
+        assert message in err[0]
+        if key != "format_version":
+            assert str(path) in err[0]
+
+    def test_wrong_width_dataset_row(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(make_dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20)), path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 2)[0]  # drop the last two cells of line 4
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run("cv", "--dataset", str(path), "--model", "majority", "--k", "2", "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error [cv]: ")
+        assert f"{path}: line 4: 2 cell(s), but the header has 4" in err[0]

@@ -164,3 +164,12 @@ class TestBuildModel:
     def test_unknown_config(self):
         with pytest.raises(ValueError, match="unknown model config"):
             build_model(object())
+
+
+class TestFitInput:
+    @pytest.mark.parametrize("bad, message", [(np.nan, "nulls"), (np.inf, "infinite"), (-np.inf, "infinite")])
+    def test_non_finite_features_rejected(self, bad, message):
+        X = np.arange(8.0).reshape(4, 2)
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            DecisionTree().fit(X, np.array([0, 1, 0, 1]))

@@ -192,3 +192,11 @@ class TestCsvRoundTrip:
     def test_wrong_width_for_variant_rejected(self):
         with pytest.raises(ValueError, match="requires 12 columns"):
             TabularDataset("D0", ["a", "b"], np.zeros((1, 2)), np.array([0]))
+
+    def test_infinite_values_round_trip(self, tmp_path):
+        ds = make_dataset([[np.inf, 1.0], [-np.inf, 0.5], [2.0, np.nan]], [0, 1, 0])
+        path = tmp_path / "inf.csv"
+        write_dataset_csv(ds, path)
+        assert path.read_text().splitlines()[1:3] == ["inf,1,0", "-inf,0.5,1"]
+        back = read_dataset_csv(path)
+        assert np.array_equal(back.X, ds.X, equal_nan=True)

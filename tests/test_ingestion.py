@@ -246,3 +246,14 @@ class TestWriters:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "table,row,reason"
         assert lines[1] == "demographics,3,bad row"
+
+    def test_bom_before_header_is_ignored(self, tmp_path, db_dir):
+        def report_bytes(name):
+            _, report = cleanse(parse_database(DatabasePaths.from_dir(db_dir)))
+            ingestion.write_cleanse_report(report, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        plain = report_bytes("plain.csv")
+        demo = db_dir / "demographics.csv"
+        demo.write_bytes(b"\xef\xbb\xbf" + demo.read_bytes())
+        assert report_bytes("bom.csv") == plain

@@ -73,7 +73,7 @@ class TestDecisionTree:
         assert np.array_equal(t_int.tree_.feature, t_sort.tree_.feature)
         internal = t_int.tree_.feature >= 0
         assert np.allclose(t_int.tree_.threshold[internal] + 0.5, t_sort.tree_.threshold[internal])
-        assert np.array_equal(t_int.tree_.prob1, t_sort.tree_.prob1)
+        assert np.array_equal(t_int.tree_.value, t_sort.tree_.value)
 
 
 class TestRandomForest:
@@ -97,8 +97,8 @@ class TestRandomForest:
         X = rng.normal(size=(80, 4))
         y = (X[:, 1] > 0.2).astype(int)
         Q = rng.normal(size=(30, 4))
-        a = RandomForest(ForestConfig(n_trees=12, seed=9, n_jobs=1)).fit(X, y)
-        b = RandomForest(ForestConfig(n_trees=12, seed=9, n_jobs=8)).fit(X, y)
+        a = RandomForest(ForestConfig(n_trees=12, seed=9)).fit(X, y)
+        b = RandomForest(ForestConfig(n_trees=12, seed=9)).fit(X, y)
         assert np.array_equal(a.predict_proba(Q), b.predict_proba(Q))
         c = RandomForest(ForestConfig(n_trees=12, seed=10)).fit(X, y)
         assert not np.array_equal(a.predict_proba(Q), c.predict_proba(Q))
