@@ -361,6 +361,9 @@ def cmd_cv(args) -> int:
     out = _resolve_out(args, cfg)
     model_cfg = _model_config(args, cfg, seed)
     resample_cfg = _resample_config(args, cfg, seed)
+    n_jobs = int(args.jobs if args.jobs is not None else cfg.get("cv", {}).get("n_jobs", 1))
+    if n_jobs < 1:
+        raise UsageError(f"--jobs (cv.n_jobs) must be >= 1, got {n_jobs}")
     ds = read_dataset_csv(dataset_path)
     if ds.y is None:
         raise UsageError(f"dataset {dataset_path} has no '{LABEL_COLUMN}' label column")
@@ -370,7 +373,7 @@ def cmd_cv(args) -> int:
         resample_cfg=resample_cfg,
         k=int(args.k or cfg.get("cv", {}).get("k", 10)),
         seed=seed,
-        n_jobs=int(args.jobs or cfg.get("cv", {}).get("n_jobs", 1)),
+        n_jobs=n_jobs,
     )
     write_report(report, out / "cv_report.json", out / "cv_report.csv")
     _write_manifest(out, "cv", report.fingerprint, ["cv_report.json", "cv_report.csv"])

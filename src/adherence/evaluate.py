@@ -236,6 +236,8 @@ def cross_validate(
     only, resampling touches training rows only, and the validation rows reach
     the model untouched.
     """
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     y = ds.labels()
     folds = kfold_split(ds.n_rows, k=k, labels=y, seed=seed)
     all_rows = np.arange(ds.n_rows)

@@ -261,7 +261,9 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty dataset file, header expected")
         labeled = bool(header) and header[-1] == LABEL_COLUMN
         columns = header[:-1] if labeled else header
         X_rows = []
@@ -273,10 +275,13 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
                 raise ValueError(
                     f"{path}: line {reader.line_num}: {len(row)} cell(s), but the header has {len(header)}"
                 )
-            cells = [math.nan if c == "" else float(c) for c in row[: len(columns)]]
-            X_rows.append(cells)
-            if labeled:
-                y_rows.append(int(float(row[len(columns)])))
+            try:
+                cells = [math.nan if c == "" else float(c) for c in row[: len(columns)]]
+                X_rows.append(cells)
+                if labeled:
+                    y_rows.append(int(float(row[len(columns)])))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     variant = None
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if meta_path.exists():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
@@ -196,6 +197,24 @@ def _read_table(path: Path, required: list[str], table: str) -> tuple[list[str],
     return header, rows
 
 
+def _user_rows(header: list[str], rows: list[list[str]], table: str,
+               rejects: list[RejectedRow]) -> Iterator[tuple[int, str, list[str]]]:
+    """Yield (row number, user_id, row) for each non-blank row; short rows and
+    rows with an empty user_id are recorded as rejects."""
+    uid = header.index("user_id")
+    for i, row in enumerate(rows, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < len(header):
+            rejects.append(RejectedRow(table, i, "short row"))
+            continue
+        user_id = row[uid].strip()
+        if not user_id:
+            rejects.append(RejectedRow(table, i, "empty user_id"))
+            continue
+        yield i, user_id, row
+
+
 def _parse_acquisitions(path: Path, activity: Activity, table: str, rejects: list[RejectedRow]) -> list[AcquisitionEvent]:
     header, rows = _read_table(path, ["user_id", "timestamp"], table)
     known = {"user_id", "timestamp", "activity"}
@@ -205,16 +224,7 @@ def _parse_acquisitions(path: Path, activity: Activity, table: str, rejects: lis
     idx = {c: header.index(c) for c in header}
     has_activity = "activity" in idx
     events = []
-    for i, row in enumerate(rows, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < len(header):
-            rejects.append(RejectedRow(table, i, "short row"))
-            continue
-        user_id = row[idx["user_id"]].strip()
-        if not user_id:
-            rejects.append(RejectedRow(table, i, "empty user_id"))
-            continue
+    for i, user_id, row in _user_rows(header, rows, table, rejects):
         try:
             ts = _parse_date(row[idx["timestamp"]])
         except ValueError:
@@ -247,16 +257,7 @@ def _parse_demographics(path: Path, rejects: list[RejectedRow]) -> dict[str, Use
         warnings.warn(f"{table}: ignoring extra column(s) {extra}")
     idx = {c: header.index(c) for c in header}
     profiles: dict[str, UserProfile] = {}
-    for i, row in enumerate(rows, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < len(header):
-            rejects.append(RejectedRow(table, i, "short row"))
-            continue
-        user_id = row[idx["user_id"]].strip()
-        if not user_id:
-            rejects.append(RejectedRow(table, i, "empty user_id"))
-            continue
+    for i, user_id, row in _user_rows(header, rows, table, rejects):
         if user_id in profiles:
             rejects.append(RejectedRow(table, i, f"duplicate user_id {user_id}"))
             continue
@@ -303,16 +304,7 @@ def _parse_questionnaire(
         warnings.warn(f"{table}: ignoring extra column(s) {extra}")
     idx = {c: header.index(c) for c in header}
     seen: set[str] = set()
-    for i, row in enumerate(rows, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < len(header):
-            rejects.append(RejectedRow(table, i, "short row"))
-            continue
-        user_id = row[idx["user_id"]].strip()
-        if not user_id:
-            rejects.append(RejectedRow(table, i, "empty user_id"))
-            continue
+    for i, user_id, row in _user_rows(header, rows, table, rejects):
         if user_id in seen:
             rejects.append(RejectedRow(table, i, f"duplicate user_id {user_id}"))
             continue

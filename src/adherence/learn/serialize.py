@@ -177,7 +177,10 @@ def load_model(path: str | Path) -> tuple[Model, PreprocessState | None]:
         _unpack_params(model, doc["params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: bad {kind} params ({exc!r})") from None
-    preprocess = None if doc.get("preprocess") is None else _unpack_preprocess(doc["preprocess"])
+    try:
+        preprocess = None if doc.get("preprocess") is None else _unpack_preprocess(doc["preprocess"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed model file {path}: bad preprocess block ({exc!r})") from None
     return model, preprocess
 
 

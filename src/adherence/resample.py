@@ -1,19 +1,18 @@
 """Minority-class oversampling: random duplication, SMOTE, and ADASYN.
 
 All three methods leave majority rows untouched, append synthetic rows after
-the originals in generation order, and are deterministic for a fixed seed
-regardless of the worker-thread count used for neighbor searches. Distances
-assume an already imputed and scaled feature matrix.
+the originals in generation order, and are deterministic for a fixed seed.
+Distances assume an already imputed and scaled feature matrix.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import TabularDataset
+from .learn.knn import nearest
 from .rng import substream
 
 METHODS = ("random", "smote", "adasyn")
@@ -25,7 +24,6 @@ class ResampleConfig:
     k_neighbors: int = 5
     seed: int = 0
     target_ratio: float = 1.0  # desired minority/majority count ratio
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -34,8 +32,6 @@ class ResampleConfig:
             raise ValueError("k_neighbors must be >= 1")
         if not 0.0 < self.target_ratio <= 1.0:
             raise ValueError("target_ratio must lie in (0, 1]")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
 
 
 def oversample(ds: TabularDataset, cfg: ResampleConfig) -> TabularDataset:
@@ -85,37 +81,6 @@ def random_oversample(ds: TabularDataset, cfg: ResampleConfig) -> TabularDataset
     return _append(ds, ds.X[picks], minority)
 
 
-def _sq_dists(queries: np.ndarray, pool: np.ndarray, n_jobs: int) -> np.ndarray:
-    """Exact squared Euclidean distances; thread count never changes results."""
-    out = np.empty((queries.shape[0], pool.shape[0]))
-    # Bound the (block, n_pool, d) broadcast regardless of worker count.
-    block = max(1, int(4_000_000 / max(1, pool.shape[0] * pool.shape[1])))
-
-    def fill(lo: int, hi: int) -> None:
-        for s in range(lo, hi, block):
-            e = min(s + block, hi)
-            diff = queries[s:e, None, :] - pool[None, :, :]
-            out[s:e] = np.einsum("ijk,ijk->ij", diff, diff)
-
-    if n_jobs == 1 or queries.shape[0] < 2 * n_jobs:
-        fill(0, queries.shape[0])
-    else:
-        step = (queries.shape[0] + n_jobs - 1) // n_jobs
-        bounds = [(s, min(s + step, queries.shape[0])) for s in range(0, queries.shape[0], step)]
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool_exec:
-            list(pool_exec.map(lambda b: fill(*b), bounds))
-    return out
-
-
-def _nearest(d2: np.ndarray, self_index: np.ndarray | None, k: int) -> np.ndarray:
-    """Indices of the k nearest columns per row, ties broken by column index."""
-    d2 = d2.copy()
-    if self_index is not None:
-        d2[np.arange(d2.shape[0]), self_index] = np.inf
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
-
-
 def smote(ds: TabularDataset, cfg: ResampleConfig) -> TabularDataset:
     """Interpolate synthetic minority rows toward minority nearest neighbors."""
     split = _class_split(ds.labels())
@@ -127,7 +92,7 @@ def smote(ds: TabularDataset, cfg: ResampleConfig) -> TabularDataset:
     need = _n_needed(min_idx.size, maj_idx.size, cfg.target_ratio)
     X_min = ds.X[min_idx]
     k = min(cfg.k_neighbors, min_idx.size - 1)
-    nn = _nearest(_sq_dists(X_min, X_min, cfg.n_jobs), np.arange(min_idx.size), k)
+    nn = nearest(X_min, X_min, k, exclude=np.arange(min_idx.size))
     rng = substream(cfg.seed, "resample", "smote")
     base = rng.integers(0, min_idx.size, size=need)
     pick = rng.integers(0, k, size=need)
@@ -153,7 +118,7 @@ def _adasyn_alloc(ds: TabularDataset, cfg: ResampleConfig, split) -> np.ndarray:
     need = _n_needed(min_idx.size, maj_idx.size, cfg.target_ratio)
     # Hardness r_i: majority share among the k nearest neighbors in the full set.
     k_full = min(cfg.k_neighbors, ds.n_rows - 1)
-    nn_full = _nearest(_sq_dists(ds.X[min_idx], ds.X, cfg.n_jobs), min_idx, k_full)
+    nn_full = nearest(ds.X[min_idx], ds.X, k_full, exclude=min_idx)
     r = (ds.labels()[nn_full] != minority).sum(axis=1).astype(np.float64) / k_full
     if r.sum() > 0:
         quotas = need * r / r.sum()
@@ -173,7 +138,7 @@ def adasyn(ds: TabularDataset, cfg: ResampleConfig) -> TabularDataset:
     alloc = _adasyn_alloc(ds, cfg, split)
     X_min = ds.X[min_idx]
     k_min = min(cfg.k_neighbors, min_idx.size - 1)
-    nn_min = _nearest(_sq_dists(X_min, X_min, cfg.n_jobs), np.arange(min_idx.size), k_min)
+    nn_min = nearest(X_min, X_min, k_min, exclude=np.arange(min_idx.size))
     rng = substream(cfg.seed, "resample", "adasyn")
     rows = []
     for i in range(min_idx.size):

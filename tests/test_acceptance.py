@@ -15,7 +15,7 @@ import pytest
 
 from adherence.analytics import cronbach_alpha, pearson
 from adherence.cli import main as cli_main
-from adherence.evaluate import geometric_score, majority_baseline
+from adherence.evaluate import cross_validate, geometric_score, majority_baseline
 from adherence.features import VARIANT_COLUMN_COUNTS, build_variant, read_dataset_csv
 from adherence.learn import (
     ForestConfig,
@@ -146,13 +146,20 @@ def test_criterion_5_oversampler_suite():
         assert list(alloc) == oracle
         assert alloc.sum() == 8
 
-        # determinism: same seed, 1 vs 8 worker threads
+        # determinism: same seed, same output
         rng = np.random.default_rng(1055)
         big = make_dataset(rng.normal(size=(250, 8)), np.array([1] * 50 + [0] * 200))
         for method in ("random", "smote", "adasyn"):
-            a = oversample(big, ResampleConfig(method=method, seed=9, n_jobs=1))
-            b = oversample(big, ResampleConfig(method=method, seed=9, n_jobs=8))
+            a = oversample(big, ResampleConfig(method=method, seed=9))
+            b = oversample(big, ResampleConfig(method=method, seed=9))
             assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+        # thread invariance: in-fold resampling under the fold pool at 1 vs 8 workers
+        for method in ("smote", "adasyn"):
+            cfg = ResampleConfig(method=method, seed=9)
+            serial = cross_validate(big, KnnConfig(k=5), resample_cfg=cfg, k=5, seed=9, n_jobs=1)
+            pooled = cross_validate(big, KnnConfig(k=5), resample_cfg=cfg, k=5, seed=9, n_jobs=8)
+            assert serial.to_json() == pooled.to_json()
 
 
 def test_criterion_6_learner_oracles():

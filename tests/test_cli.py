@@ -149,6 +149,25 @@ class TestCv:
         assert run("cv", "--dataset", str(tmp_path / "nope.csv"), "--model", "majority",
                    "--out", str(tmp_path / "o")) == 2
 
+    def test_bad_jobs_is_usage_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        write_dataset_csv(make_dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20)), tmp_path / "ds.csv")
+        cases = [
+            (["--jobs", "0"], None, "--jobs (cv.n_jobs) must be >= 1, got 0"),
+            ([], {"cv": {"n_jobs": 0}}, "--jobs (cv.n_jobs) must be >= 1, got 0"),
+            ([], {"resampler": {"method": "smote", "n_jobs": 2}}, "bad resampler config"),
+        ]
+        for i, (flags, config, message) in enumerate(cases):
+            if config is not None:
+                (tmp_path / "cfg.json").write_text(json.dumps(config))
+                flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+            capsys.readouterr()
+            code = run("cv", "--dataset", str(tmp_path / "ds.csv"), "--model", "majority", "--k", "2",
+                       *flags, "--out", str(tmp_path / f"o{i}"))
+            err = capsys.readouterr().err.strip().splitlines()
+            assert code == 2, flags
+            assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
 
 class TestTrainPredict:
     def test_round_trip_reproduces_predictions(self, tmp_path, built):
@@ -262,9 +281,12 @@ class TestMalformedInputs:
             ("params", [], "key 'params' has type list"),
             ("params", {}, "bad tree params (KeyError('tree'))"),
             ("format_version", 1, "unsupported model format version 1"),
+            ("preprocess", {}, "bad preprocess block (KeyError('column_names'))"),
+            ("preprocess", [], "bad preprocess block (TypeError("),
         ],
         ids=["no-kind", "no-config", "no-n_features", "no-feature_names", "no-params",
-             "str-n_features", "list-params", "empty-params", "format-version-1"],
+             "str-n_features", "list-params", "empty-params", "format-version-1",
+             "empty-preprocess", "list-preprocess"],
     )
     def test_bad_model_file_is_one_error_line(self, tmp_path, capsys, key, value, message):
         path = self.trained_model(tmp_path)
@@ -283,6 +305,24 @@ class TestMalformedInputs:
         assert message in err[0]
         if key != "format_version":
             assert str(path) in err[0]
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("", "empty dataset file, header expected"),
+            ("f0,f1,A\n1,2,0\n3,x,1\n", "line 3: could not convert string to float: 'x'"),
+        ],
+        ids=["empty-file", "non-numeric-cell"],
+    )
+    def test_bad_dataset_file_is_one_error_line(self, tmp_path, capsys, content, message):
+        path = tmp_path / "ds.csv"
+        path.write_text(content)
+        capsys.readouterr()
+        code = run("cv", "--dataset", str(path), "--model", "majority", "--k", "2", "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error [cv]: ")
+        assert f"{path}: {message}" in err[0]
 
     def test_wrong_width_dataset_row(self, tmp_path, capsys):
         rng = np.random.default_rng(9)

@@ -164,6 +164,12 @@ class TestCrossValidate:
         b = cross_validate(ds, ForestConfig(n_trees=5), k=5, seed=4, n_jobs=8)
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    def test_nonpositive_jobs_rejected(self, n_jobs):
+        ds = random_imbalanced(np.random.default_rng(76), 20, 2)
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            cross_validate(ds, ForestConfig(n_trees=2), k=2, n_jobs=n_jobs)
+
     def test_planted_signal_beats_baseline(self):
         rng = np.random.default_rng(77)
         X = rng.normal(size=(300, 5))
