@@ -9,7 +9,6 @@ directory. Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -19,9 +18,8 @@ import sys
 from datetime import date
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, analytics, synthgen
+from .artifact import canonical_json, write_csv, write_json
 from .evaluate import cross_validate, write_report
 from .features import (
     LABEL_COLUMN,
@@ -71,21 +69,36 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _setting(cfg: dict, key: str, kind: type, default=None, flag=None):
+    """The command-line ``flag`` if given, else config ``key`` checked to be of JSON type ``kind``.
+
+    "cv.k" names key "k" of the "cv" section. A missing or null key gives
+    ``default``; any other value not of ``kind`` is a UsageError (true and
+    false are not integers).
+    """
+    if flag is not None:
+        return flag
+    section, name = cfg, key
+    if "." in key:
+        parent, name = key.split(".")
+        section = _setting(cfg, parent, dict, {})
+    value = section.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise UsageError(f"config key {key!r} has type {type(value).__name__}, expected {kind.__name__}")
+    return value
+
+
 def _resolve_out(args, cfg: dict) -> Path:
-    out = args.out or os.environ.get("ADHERENCE_OUT") or cfg.get("out") or "out"
+    out = args.out or os.environ.get("ADHERENCE_OUT") or _setting(cfg, "out", str) or "out"
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _resolve_seed(args, cfg: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]) -> Path:
-    canonical = json.dumps(config, sort_keys=True, default=str)
+def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]) -> None:
+    canonical = canonical_json(config)
     doc = {
         "artifact_version": __version__,
         "command": command,
@@ -93,11 +106,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str
         "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "outputs": sorted(outputs),
     }
-    path = out_dir / f"manifest_{command}.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
+    write_json(out_dir / f"manifest_{command}.json", doc)
 
 
 def _require_dir(path: str | None, what: str) -> Path:
@@ -123,10 +132,10 @@ def _require_file(path: str | None, what: str) -> Path:
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
-    section = dict(cfg.get("generate", {}))
+    section = _setting(cfg, "generate", dict, {})
     if args.n_users is not None:
-        section["n_users"] = args.n_users
-    seed = _resolve_seed(args, cfg)
+        section = {**section, "n_users": args.n_users}
+    seed = _setting(cfg, "seed", int, 0, flag=args.seed)
     out = _resolve_out(args, cfg)
     try:
         synth_cfg = _synth_config(section, seed)
@@ -166,8 +175,6 @@ def _synth_config(section: dict, seed: int) -> synthgen.SynthConfig:
 
 def _synth_config_dict(cfg: synthgen.SynthConfig) -> dict:
     d = dataclasses.asdict(cfg)
-    d["start_date"] = cfg.start_date.isoformat()
-    d["end_date"] = cfg.end_date.isoformat()
     d["null_rates"] = {f"{qid}_{inst}": rate for (qid, inst), rate in sorted(cfg.null_rates.items())}
     return d
 
@@ -193,9 +200,7 @@ def cmd_ingest(args) -> int:
         "n_removed_users": report.n_removed,
         "n_events_retained": len(cleansed.events),
     }
-    with open(out / "ingest_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "ingest_summary.json", summary)
     _write_manifest(out, "ingest", {"db": str(db_dir)}, ["rejects.csv", "cleanse_report.csv", "ingest_summary.json"])
     print(
         f"ingested {report.n_input_users} users: retained {report.n_retained}, "
@@ -215,7 +220,7 @@ def _pick_variants(variant: str | None) -> list[str]:
 def cmd_build(args) -> int:
     cfg = _load_config(args.config)
     db_dir = _require_dir(args.db, "--db database directory")
-    variants = _pick_variants(args.variant or cfg.get("variant"))
+    variants = _pick_variants(_setting(cfg, "variant", str, flag=args.variant))
     out = _resolve_out(args, cfg)
     db, cleansed, report = _ingest(db_dir)
     samples = windows_for_database(cleansed)
@@ -235,20 +240,10 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _write_matrix_csv(path: Path, names: list[str], matrix: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + names)
-        for name, row in zip(names, matrix):
-            w.writerow([name] + ["" if math.isnan(v) else repr(float(v)) for v in row])
-
-
 def cmd_stats(args) -> int:
     cfg = _load_config(args.config)
     db_dir = _require_dir(args.db, "--db database directory")
-    variant = args.variant or cfg.get("variant") or "D0"
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    [variant] = _pick_variants(_setting(cfg, "variant", str, "D0", flag=args.variant))
     out = _resolve_out(args, cfg)
     _, cleansed, report = _ingest(db_dir)
     samples = windows_for_database(cleansed)
@@ -256,39 +251,28 @@ def cmd_stats(args) -> int:
     stats_doc: dict = {"n_users": report.n_retained, "n_windows": len(samples)}
 
     rows = analytics.null_rates(cleansed.profiles)
-    with open(out / "null_rates.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["questionnaire", "feature_group", "instance", "pct_null"])
-        for r in rows:
-            w.writerow([r.questionnaire, r.feature_group, r.instance, f"{r.pct_null:.2f}"])
+    write_csv(out / "null_rates.csv", ["questionnaire", "feature_group", "instance", "pct_null"],
+              ([r.questionnaire, r.feature_group, r.instance, f"{r.pct_null:.2f}"] for r in rows))
     stats_doc["null_rates"] = [dataclasses.asdict(r) for r in rows]
     outputs.append("null_rates.csv")
 
     alphas = analytics.questionnaire_alpha_reports(cleansed.profiles)
-    with open(out / "cronbach_alpha.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["questionnaire", "instance", "alpha", "n_respondents"])
-        for a in alphas:
-            w.writerow([a.questionnaire, a.instance, "" if a.alpha is None else f"{a.alpha:.4f}", a.n_respondents])
+    write_csv(out / "cronbach_alpha.csv", ["questionnaire", "instance", "alpha", "n_respondents"],
+              ([a.questionnaire, a.instance, "" if a.alpha is None else f"{a.alpha:.4f}", a.n_respondents]
+               for a in alphas))
     stats_doc["cronbach_alpha"] = [dataclasses.asdict(a) for a in alphas]
     outputs.append("cronbach_alpha.csv")
 
     demo = analytics.demographic_summary(cleansed.profiles)
-    with open(out / "demographics.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["field", "min", "max", "mean", "mode"])
-        for name, s in demo.items():
-            w.writerow([name, s.minimum, s.maximum, f"{s.mean:.4f}", s.mode])
+    write_csv(out / "demographics.csv", ["field", "min", "max", "mean", "mode"],
+              ([name, s.minimum, s.maximum, f"{s.mean:.4f}", s.mode] for name, s in demo.items()))
     stats_doc["demographics"] = {k: dataclasses.asdict(v) for k, v in demo.items()}
     outputs.append("demographics.csv")
 
     if samples:
         dist = analytics.acquisition_distribution(samples)
-        with open(out / "acquisition_distribution.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_start", "bin_end", "count"])
-            for b in dist.bins:
-                w.writerow([b.start, b.end, b.count])
+        write_csv(out / "acquisition_distribution.csv", ["bin_start", "bin_end", "count"],
+                  ([b.start, b.end, b.count] for b in dist.bins))
         stats_doc["acquisition_distribution"] = {
             "mean": dist.mean,
             "min": dist.minimum,
@@ -298,16 +282,14 @@ def cmd_stats(args) -> int:
 
         d0 = build_variant(samples, cleansed.profiles, "D0")
         corr, names = analytics.session_correlation_matrix(d0)
-        _write_matrix_csv(out / "session_correlation.csv", names, corr)
+        write_csv(out / "session_correlation.csv", ["", *names],
+                  ([name, *("" if math.isnan(v) else repr(float(v)) for v in row)]
+                   for name, row in zip(names, corr)))
         outputs.append("session_correlation.csv")
 
         ds = d0 if variant == "D0" else build_variant(samples, cleansed.profiles, variant)
         dup = analytics.duplicate_analysis(ds)
-        with open(out / "duplicates.csv", "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["multiplicity", "n_tuples"])
-            for mult, count in dup.multiplicity_histogram.items():
-                w.writerow([mult, count])
+        write_csv(out / "duplicates.csv", ["multiplicity", "n_tuples"], dup.multiplicity_histogram.items())
         stats_doc["duplicates"] = {
             "variant": variant,
             "n_rows": dup.n_rows,
@@ -317,9 +299,7 @@ def cmd_stats(args) -> int:
         }
         outputs.append("duplicates.csv")
 
-    with open(out / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats_doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(out / "stats.json", stats_doc)
     outputs.append("stats.json")
     _write_manifest(out, "stats", {"db": str(db_dir), "variant": variant}, outputs)
     print(f"stats written -> {out}")
@@ -327,29 +307,29 @@ def cmd_stats(args) -> int:
 
 
 def _model_config(args, cfg: dict, seed: int):
-    section = dict(cfg.get("model", {}))
-    kind = args.model or section.pop("kind", None)
+    kind = _setting(cfg, "model.kind", str, flag=args.model)
     if kind is None:
         raise UsageError("--model (or a model section in the config file) is required")
-    if kind in CONFIG_TYPES and "seed" not in section:
+    params = {k: v for k, v in _setting(cfg, "model", dict, {}).items() if k != "kind"}
+    if kind in CONFIG_TYPES and "seed" not in params:
         if any(f.name == "seed" for f in dataclasses.fields(CONFIG_TYPES[kind])):
-            section["seed"] = substream_seed(seed, "model")
+            params["seed"] = substream_seed(seed, "model")
     try:
-        return config_from_dict(kind, section)
+        return config_from_dict(kind, params)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
 def _resample_config(args, cfg: dict, seed: int) -> ResampleConfig | None:
-    section = dict(cfg.get("resampler", {}))
-    method = args.resampler or section.pop("method", None)
+    method = _setting(cfg, "resampler.method", str, flag=args.resampler)
     if method in (None, "none"):
         return None
     if method not in RESAMPLE_METHODS:
         raise UsageError(f"unknown resampler {method!r}; expected one of {RESAMPLE_METHODS} or 'none'")
-    section.setdefault("seed", substream_seed(seed, "resample"))
+    params = {k: v for k, v in _setting(cfg, "resampler", dict, {}).items() if k != "method"}
+    params.setdefault("seed", substream_seed(seed, "resample"))
     try:
-        return ResampleConfig(method=method, **section)
+        return ResampleConfig(method=method, **params)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad resampler config: {exc}") from None
 
@@ -357,13 +337,16 @@ def _resample_config(args, cfg: dict, seed: int) -> ResampleConfig | None:
 def cmd_cv(args) -> int:
     cfg = _load_config(args.config)
     dataset_path = _require_file(args.dataset, "--dataset file")
-    seed = _resolve_seed(args, cfg)
+    seed = _setting(cfg, "seed", int, 0, flag=args.seed)
     out = _resolve_out(args, cfg)
     model_cfg = _model_config(args, cfg, seed)
     resample_cfg = _resample_config(args, cfg, seed)
-    n_jobs = int(args.jobs if args.jobs is not None else cfg.get("cv", {}).get("n_jobs", 1))
+    n_jobs = _setting(cfg, "cv.n_jobs", int, 1, flag=args.jobs)
     if n_jobs < 1:
         raise UsageError(f"--jobs (cv.n_jobs) must be >= 1, got {n_jobs}")
+    k = _setting(cfg, "cv.k", int, 10, flag=args.k)
+    if k < 2:
+        raise UsageError(f"--k (cv.k) must be >= 2, got {k}")
     ds = read_dataset_csv(dataset_path)
     if ds.y is None:
         raise UsageError(f"dataset {dataset_path} has no '{LABEL_COLUMN}' label column")
@@ -371,7 +354,7 @@ def cmd_cv(args) -> int:
         ds,
         model_cfg,
         resample_cfg=resample_cfg,
-        k=int(args.k or cfg.get("cv", {}).get("k", 10)),
+        k=k,
         seed=seed,
         n_jobs=n_jobs,
     )
@@ -388,7 +371,7 @@ def cmd_cv(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     dataset_path = _require_file(args.dataset, "--dataset file")
-    seed = _resolve_seed(args, cfg)
+    seed = _setting(cfg, "seed", int, 0, flag=args.seed)
     out = _resolve_out(args, cfg)
     model_cfg = _model_config(args, cfg, seed)
     resample_cfg = _resample_config(args, cfg, seed)
@@ -438,11 +421,8 @@ def cmd_predict(args) -> int:
         ds = transform(ds, state)
     proba = model.predict_proba(ds.X)
     labels = classify(proba)
-    with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row_id", "p_high", "label"])
-        for i in range(proba.shape[0]):
-            w.writerow([i, repr(float(proba[i, 1])), int(labels[i])])
+    write_csv(out / "predictions.csv", ["row_id", "p_high", "label"],
+              ([i, repr(float(proba[i, 1])), int(labels[i])] for i in range(proba.shape[0])))
     _write_manifest(out, "predict", {"model": str(model_path), "dataset": str(dataset_path)}, ["predictions.csv"])
     print(f"predicted {proba.shape[0]} rows -> {out / 'predictions.csv'}")
     return 0

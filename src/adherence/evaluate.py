@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifact import canonical_json, write_csv, write_json
 from .features import TabularDataset, fit_preprocess, transform
 from .learn import build_model, model_kind
 from .resample import ResampleConfig, oversample
@@ -188,7 +188,7 @@ class CvReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_dict(), indent=2) + "\n"
 
 
 def _config_fingerprint(
@@ -273,7 +273,7 @@ def cross_validate(
         fn=sum(r.metrics.fn for r in results),
     )
     fingerprint = _config_fingerprint(ds, model_cfg, resample_cfg, k, seed, preprocess)
-    digest = hashlib.sha256(json.dumps(fingerprint, sort_keys=True).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(canonical_json(fingerprint).encode("utf-8")).hexdigest()
     return CvReport(
         folds=results,
         macro=_macro(results),
@@ -288,18 +288,14 @@ _CSV_METRIC_COLS = ["tp", "tn", "fp", "fn", "accuracy", "sensitivity", "specific
 
 def write_report(report: CvReport, json_path: str | Path | None = None, csv_path: str | Path | None = None) -> None:
     if json_path is not None:
-        Path(json_path).write_text(report.to_json(), encoding="utf-8")
+        write_json(json_path, report.to_dict())
     if csv_path is not None:
-        lines = ["row_kind,fold," + ",".join(_CSV_METRIC_COLS)]
-
         def fmt(v) -> str:
             return "" if v is None else (repr(float(v)) if isinstance(v, float) else str(v))
 
-        for f in report.folds:
-            d = f.metrics.to_dict()
-            lines.append("fold," + str(f.fold) + "," + ",".join(fmt(d[c]) for c in _CSV_METRIC_COLS))
-        md = report.macro.to_dict()
-        lines.append("macro,," + ",".join(fmt(md.get(c)) for c in _CSV_METRIC_COLS))
-        pd = report.pooled.to_dict()
-        lines.append("pooled,," + ",".join(fmt(pd[c]) for c in _CSV_METRIC_COLS))
-        Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        def row(kind: str, fold, metrics: dict) -> list[str]:
+            return [kind, fold, *(fmt(metrics.get(c)) for c in _CSV_METRIC_COLS)]
+
+        rows = [row("fold", f.fold, f.metrics.to_dict()) for f in report.folds]
+        rows += [row("macro", "", report.macro.to_dict()), row("pooled", "", report.pooled.to_dict())]
+        write_csv(csv_path, ["row_kind", "fold", *_CSV_METRIC_COLS], rows)

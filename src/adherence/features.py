@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifact import write_csv, write_json
 from .ingestion import (
     DEMOGRAPHIC_FIELDS,
     QUESTIONNAIRE_INSTANCES,
@@ -235,15 +236,16 @@ def _format_cell(v: float) -> str:
 def write_dataset_csv(ds: TabularDataset, path: str | Path, metadata: dict | None = None) -> None:
     """Write the dataset plus a sidecar .meta.json describing it."""
     path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        header = list(ds.column_names) + ([LABEL_COLUMN] if ds.y is not None else [])
-        w.writerow(header)
+
+    def rows():
         for r in range(ds.n_rows):
-            row = [_format_cell(v) for v in ds.X[r]]
+            # Python floats from tolist() format about a third faster than numpy scalars
+            row = [_format_cell(v) for v in ds.X[r].tolist()]
             if ds.y is not None:
                 row.append(str(int(ds.y[r])))
-            w.writerow(row)
+            yield row
+
+    write_csv(path, list(ds.column_names) + ([LABEL_COLUMN] if ds.y is not None else []), rows())
     meta = {
         "variant": ds.variant,
         "columns": list(ds.column_names),
@@ -251,15 +253,13 @@ def write_dataset_csv(ds: TabularDataset, path: str | Path, metadata: dict | Non
     }
     if metadata:
         meta.update(metadata)
-    with open(path.with_suffix(path.suffix + ".meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
 
 
 def read_dataset_csv(path: str | Path) -> TabularDataset:
     """Read a dataset written by write_dataset_csv (sidecar optional)."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

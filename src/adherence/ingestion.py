@@ -15,6 +15,8 @@ from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
 
+from .artifact import write_csv
+
 
 class Activity(Enum):
     BRAIN_GAMES = "BrainGames"
@@ -405,44 +407,24 @@ def write_database(db: RawDatabase, directory: str | Path) -> DatabasePaths:
     for ev in db.events:
         by_activity[ev.activity].append(ev)
     for activity, path in paths.acquisitions.items():
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["user_id", "timestamp"])
-            for ev in sorted(by_activity[activity], key=lambda e: (e.user_id, e.timestamp)):
-                w.writerow([ev.user_id, ev.timestamp.isoformat()])
+        events = sorted(by_activity[activity], key=lambda e: (e.user_id, e.timestamp))
+        write_csv(path, ["user_id", "timestamp"], ([ev.user_id, ev.timestamp.isoformat()] for ev in events))
     users = sorted(db.profiles)
-    with open(paths.demographics, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", "status", *DEMOGRAPHIC_FIELDS])
-        for u in users:
-            p = db.profiles[u]
-            row = [u, p.status or ""]
-            row += ["" if getattr(p, f) is None else getattr(p, f) for f in DEMOGRAPHIC_FIELDS]
-            w.writerow(row)
+    write_csv(paths.demographics, ["user_id", "status", *DEMOGRAPHIC_FIELDS],
+              ([u, db.profiles[u].status, *(getattr(db.profiles[u], f) for f in DEMOGRAPHIC_FIELDS)]
+               for u in users))
     for (qid, instance), path in sorted(paths.questionnaires.items()):
         n_items = QUESTIONNAIRE_ITEMS[qid]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["user_id", *(f"Q{i}" for i in range(1, n_items + 1))])
-            for u in users:
-                items = db.profiles[u].items_for(qid, instance)
-                w.writerow([u, *("" if v is None else v for v in items)])
+        write_csv(path, ["user_id", *(f"Q{i}" for i in range(1, n_items + 1))],
+                  ([u, *db.profiles[u].items_for(qid, instance)] for u in users))
     return paths
 
 
 def write_rejects(rejects: list[RejectedRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["table", "row", "reason"])
-        for r in rejects:
-            w.writerow([r.table, r.row, r.reason])
+    write_csv(path, ["table", "row", "reason"], ([r.table, r.row, r.reason] for r in rejects))
 
 
 def write_cleanse_report(report: CleanseReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", "disposition", "reason"])
-        for u in report.retained:
-            w.writerow([u, "retained", ""])
-        for r in report.removed:
-            w.writerow([r.user_id, "removed", r.reason])
+    rows = [[u, "retained", ""] for u in report.retained]
+    rows += [[r.user_id, "removed", r.reason] for r in report.removed]
+    write_csv(path, ["user_id", "disposition", "reason"], rows)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..artifact import write_json
 from ..features import PreprocessState
 from .base import MajorityConfig, MajorityModel, Model
 from .forest import ForestConfig, RandomForest
@@ -146,9 +147,7 @@ def save_model(model: Model, path: str | Path, preprocess: PreprocessState | Non
         "params": _pack_params(model),
         "preprocess": None if preprocess is None else _pack_preprocess(preprocess),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, indent=None)
 
 
 def load_model(path: str | Path) -> tuple[Model, PreprocessState | None]:

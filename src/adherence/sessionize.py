@@ -14,6 +14,7 @@ from datetime import date, timedelta
 from enum import Enum
 from pathlib import Path
 
+from .artifact import write_csv
 from .ingestion import AcquisitionEvent, RawDatabase
 
 WINDOW_SESSIONS = 12
@@ -141,16 +142,14 @@ def windows_for_database(db: RawDatabase, last_rounding: str = "previous") -> li
 
 
 def write_windows(samples: list[WindowSample], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["user_id"]
-            + [f"S{i}" for i in range(1, WINDOW_SESSIONS + 1)]
-            + [f"FS{i}" for i in range(1, FUTURE_SESSIONS + 1)]
-            + ["A", "window_end_date"]
-        )
-        for s in samples:
-            w.writerow([s.user_id, *s.values, *s.future, s.label, s.window_end_date.isoformat()])
+    header = (
+        ["user_id"]
+        + [f"S{i}" for i in range(1, WINDOW_SESSIONS + 1)]
+        + [f"FS{i}" for i in range(1, FUTURE_SESSIONS + 1)]
+        + ["A", "window_end_date"]
+    )
+    write_csv(path, header,
+              ([s.user_id, *s.values, *s.future, s.label, s.window_end_date.isoformat()] for s in samples))
 
 
 def read_windows(path: str | Path) -> list[WindowSample]:

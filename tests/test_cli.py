@@ -168,6 +168,17 @@ class TestCv:
             assert code == 2, flags
             assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
 
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_bad_k_is_usage_error(self, tmp_path, capsys, k):
+        rng = np.random.default_rng(10)
+        write_dataset_csv(make_dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20)), tmp_path / "ds.csv")
+        capsys.readouterr()
+        code = run("cv", "--dataset", str(tmp_path / "ds.csv"), "--model", "majority", "--k", k,
+                   "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert err == [f"error: --k (cv.k) must be >= 2, got {k}"]
+
 
 class TestTrainPredict:
     def test_round_trip_reproduces_predictions(self, tmp_path, built):
@@ -218,6 +229,19 @@ class TestTrainPredict:
                    "--dataset", str(tmp_path / "features_only.csv"), "--out", str(p)) == 0
         with open(p / "predictions.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == labeled.n_rows
+
+    def test_bom_before_header_reads_like_plain_file(self, tmp_path, built):
+        plain = built / "dataset_D0.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_dataset_csv(bom).column_names == read_dataset_csv(plain).column_names
+        t = tmp_path / "t5"
+        assert run("train", "--dataset", str(plain), "--model", "tree", "--out", str(t)) == 0
+        for name, path in (("plain", plain), ("bom", bom)):
+            assert run("predict", "--model-file", str(t / "model.json"), "--dataset", str(path),
+                       "--out", str(tmp_path / name)) == 0
+        predictions = [(tmp_path / name / "predictions.csv").read_bytes() for name in ("plain", "bom")]
+        assert predictions[0] == predictions[1]
 
     def test_cv_on_null_bearing_variant(self, tmp_path, db_dir):
         out = tmp_path / "b3"
@@ -337,3 +361,35 @@ class TestMalformedInputs:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error [cv]: ")
         assert f"{path}: line 4: 2 cell(s), but the header has 4" in err[0]
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("cv", {"cv": {"n_jobs": "two"}}),
+            ("cv", {"cv": {"k": "ten"}}),
+            ("cv", {"seed": "x"}),
+            ("cv", {"cv": {"n_jobs": True}}),
+            ("cv", {"model": "forest"}),
+            ("cv", {"resampler": "smote"}),
+            ("generate", {"generate": "x"}),
+            ("cv", {"cv": [1]}),
+            ("cv", {"out": 5}),
+        ],
+        ids=["str-n_jobs", "str-k", "str-seed", "bool-n_jobs", "str-model", "str-resampler",
+             "str-generate", "list-cv", "int-out"],
+    )
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, monkeypatch, capsys, command, config):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ADHERENCE_OUT", raising=False)
+        rng = np.random.default_rng(11)
+        write_dataset_csv(make_dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20)), tmp_path / "ds.csv")
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = {"cv": ["cv", "--dataset", "ds.csv", "--model", "majority"],
+                "generate": ["generate", "--n-users", "5"]}[command]
+        capsys.readouterr()
+        code = run(*argv, "--config", "cfg.json")
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "Traceback" not in captured.out + captured.err
