@@ -9,10 +9,10 @@ columns are never scaled; all other ("static") columns are min-max mapped to
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -28,38 +28,25 @@ from .sessionize import WINDOW_SESSIONS, WindowSample
 
 S_COLUMNS = [f"S{i}" for i in range(1, WINDOW_SESSIONS + 1)]
 TIMESTAMP_COLUMNS = ["week", "month", "year"]
-DEMOGRAPHIC_COLUMNS = list(DEMOGRAPHIC_FIELDS)
 LABEL_COLUMN = "A"
 
 _S_PATTERN = re.compile(r"^S\d+$")
 
 
 def _questionnaire_block(qid: str) -> list[str]:
-    cols = []
-    for instance in QUESTIONNAIRE_INSTANCES[qid]:
-        cols += [f"{qid}{instance}_q{i}" for i in range(1, QUESTIONNAIRE_ITEMS[qid] + 1)]
-    return cols
+    items = range(1, QUESTIONNAIRE_ITEMS[qid] + 1)
+    return [f"{qid}{instance}_q{i}" for instance in QUESTIONNAIRE_INSTANCES[qid] for i in items]
 
 
-_VARIANT_BLOCKS = [
-    ("D0", S_COLUMNS),
-    ("D1", TIMESTAMP_COLUMNS),
-    ("D2", DEMOGRAPHIC_COLUMNS),
-    ("D3", _questionnaire_block("spq")),
-    ("D4", _questionnaire_block("ucla")),
-    ("D5", _questionnaire_block("eq5d3l")),
-    ("D6", _questionnaire_block("utaut")),
-]
+# The questionnaires of D3..D6, in the order their blocks are appended.
+_QUESTIONNAIRES = ("spq", "ucla", "eq5d3l", "utaut")
+# The schema: variant Dk holds blocks 0..k, so every variant is a prefix of D6.
+_BLOCKS = [S_COLUMNS, TIMESTAMP_COLUMNS, list(DEMOGRAPHIC_FIELDS), *map(_questionnaire_block, _QUESTIONNAIRES)]
+_D6_COLUMNS = [c for block in _BLOCKS for c in block]
 
-VARIANTS = [name for name, _ in _VARIANT_BLOCKS]
-VARIANT_COLUMNS: dict[str, list[str]] = {}
-_cols: list[str] = []
-for _name, _block in _VARIANT_BLOCKS:
-    _cols = _cols + _block
-    VARIANT_COLUMNS[_name] = list(_cols)
-del _name, _block, _cols
-
-VARIANT_COLUMN_COUNTS = {name: len(cols) for name, cols in VARIANT_COLUMNS.items()}
+VARIANTS = [f"D{k}" for k in range(len(_BLOCKS))]
+VARIANT_COLUMN_COUNTS = dict(zip(VARIANTS, accumulate(map(len, _BLOCKS))))
+VARIANT_COLUMNS = {name: _D6_COLUMNS[:n] for name, n in VARIANT_COLUMN_COUNTS.items()}
 
 
 def variant_columns(variant: str) -> list[str]:
@@ -118,47 +105,40 @@ def _timestamp_features(sample: WindowSample) -> list[float]:
     return [float(iso.week), float(sample.window_end_date.month), float(sample.window_end_date.year)]
 
 
+def _static_features(profile: UserProfile) -> list[float]:
+    """The user's D6 values after the timestamps: demographics, then every questionnaire."""
+    values = [getattr(profile, f) for f in DEMOGRAPHIC_FIELDS]
+    for qid in _QUESTIONNAIRES:
+        for instance in QUESTIONNAIRE_INSTANCES[qid]:
+            values += profile.items_for(qid, instance)
+    return [math.nan if v is None else float(v) for v in values]
+
+
+def _matrix(rows: list, width: int) -> np.ndarray:
+    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
+
+
 def build_variant(
     samples: list[WindowSample],
     profiles: dict[str, UserProfile],
     variant: str,
 ) -> TabularDataset:
-    """Assemble one variant's feature matrix; nulls stay NaN until transform."""
+    """Assemble one variant's columns: the D6 blocks it needs, cut to its width; nulls stay NaN."""
     columns = variant_columns(variant)
-    rows = np.empty((len(samples), len(columns)), dtype=np.float64)
-    y = np.empty(len(samples), dtype=np.int64)
-    static_cache: dict[str, list[float]] = {}
-    for r, sample in enumerate(samples):
-        feats = [float(v) for v in sample.values]
-        if variant != "D0":
-            feats += _timestamp_features(sample)
-            if variant != "D1":
-                if sample.user_id not in profiles:
-                    raise ValueError(f"unknown user_id {sample.user_id!r}")
-                cached = static_cache.get(sample.user_id)
-                if cached is None:
-                    cached = _static_features(profiles[sample.user_id], variant)
-                    static_cache[sample.user_id] = cached
-                feats += cached
-        rows[r, :] = feats
-        y[r] = sample.label
-    return TabularDataset(variant=variant, column_names=columns, X=rows, y=y)
-
-
-def _static_features(profile: UserProfile, variant: str) -> list[float]:
-    feats = [_or_nan(getattr(profile, f)) for f in DEMOGRAPHIC_FIELDS]
-    blocks = [("D3", "spq"), ("D4", "ucla"), ("D5", "eq5d3l"), ("D6", "utaut")]
-    rank = VARIANTS.index(variant)
-    for v, qid in blocks:
-        if VARIANTS.index(v) > rank:
-            break
-        for instance in QUESTIONNAIRE_INSTANCES[qid]:
-            feats += [_or_nan(a) for a in profile.items_for(qid, instance)]
-    return feats
-
-
-def _or_nan(v: int | None) -> float:
-    return math.nan if v is None else float(v)
+    n_d0, n_d1 = VARIANT_COLUMN_COUNTS["D0"], VARIANT_COLUMN_COUNTS["D1"]
+    blocks = [_matrix([s.values for s in samples], n_d0)]
+    if len(columns) > n_d0:
+        blocks.append(_matrix([_timestamp_features(s) for s in samples], n_d1 - n_d0))
+    if len(columns) > n_d1:
+        users = list(dict.fromkeys(s.user_id for s in samples))
+        unknown = [u for u in users if u not in profiles]
+        if unknown:
+            raise ValueError(f"unknown user_id {unknown[0]!r}")
+        static = _matrix([_static_features(profiles[u]) for u in users], len(_D6_COLUMNS) - n_d1)
+        row_of = {u: i for i, u in enumerate(users)}
+        blocks.append(static[[row_of[s.user_id] for s in samples]])
+    y = np.array([s.label for s in samples], dtype=np.int64)
+    return TabularDataset(variant=variant, column_names=columns, X=np.hstack(blocks)[:, : len(columns)], y=y)
 
 
 @dataclass
@@ -233,7 +213,7 @@ def _format_cell(v: float) -> str:
     return repr(float(v))  # shortest exact round-trip representation
 
 
-def write_dataset_csv(ds: TabularDataset, path: str | Path, metadata: dict | None = None) -> None:
+def write_dataset_csv(ds: TabularDataset, path: str | Path) -> None:
     """Write the dataset plus a sidecar .meta.json describing it."""
     path = Path(path)
 
@@ -246,18 +226,12 @@ def write_dataset_csv(ds: TabularDataset, path: str | Path, metadata: dict | Non
             yield row
 
     write_csv(path, list(ds.column_names) + ([LABEL_COLUMN] if ds.y is not None else []), rows())
-    meta = {
-        "variant": ds.variant,
-        "columns": list(ds.column_names),
-        "n_rows": ds.n_rows,
-    }
-    if metadata:
-        meta.update(metadata)
-    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
+    write_json(path.with_suffix(path.suffix + ".meta.json"),
+               {"variant": ds.variant, "columns": list(ds.column_names), "n_rows": ds.n_rows})
 
 
 def read_dataset_csv(path: str | Path) -> TabularDataset:
-    """Read a dataset written by write_dataset_csv (sidecar optional)."""
+    """Read a dataset CSV; its header names the variant (D0..D6 on an exact match, else "custom")."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -276,20 +250,13 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
                     f"{path}: line {reader.line_num}: {len(row)} cell(s), but the header has {len(header)}"
                 )
             try:
-                cells = [math.nan if c == "" else float(c) for c in row[: len(columns)]]
-                X_rows.append(cells)
+                X_rows.append([math.nan if c == "" else float(c) for c in row[: len(columns)]])
                 if labeled:
-                    y_rows.append(int(float(row[len(columns)])))
-            except (ValueError, OverflowError) as exc:
+                    y_rows.append(float(row[-1]))
+                    if y_rows[-1] not in (0.0, 1.0):
+                        raise ValueError(f"label {row[-1]!r} is not 0 or 1")
+            except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    variant = None
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    if meta_path.exists():
-        with open(meta_path, encoding="utf-8") as fh:
-            variant = json.load(fh).get("variant")
-    if variant is None:
-        matches = [v for v, n in VARIANT_COLUMN_COUNTS.items() if n == len(columns)]
-        variant = matches[0] if matches and columns[: len(S_COLUMNS)] == S_COLUMNS else "custom"
-    X = np.array(X_rows, dtype=np.float64).reshape(len(X_rows), len(columns))
+    variant = next((v for v, cols in VARIANT_COLUMNS.items() if cols == columns), "custom")
     y = np.array(y_rows, dtype=np.int64) if labeled else None
-    return TabularDataset(variant=variant, column_names=columns, X=X, y=y)
+    return TabularDataset(variant=variant, column_names=columns, X=_matrix(X_rows, len(columns)), y=y)

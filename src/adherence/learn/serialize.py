@@ -11,6 +11,8 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -183,13 +185,27 @@ def load_model(path: str | Path) -> tuple[Model, PreprocessState | None]:
     return model, preprocess
 
 
+def _fits(value: object, hint: object) -> bool:
+    """Whether a JSON value fits a config field type: bool is not int, int fits float, list fits tuple."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, a) for a in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+        return isinstance(value, (list, tuple)) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def config_from_dict(kind: str, values: dict) -> object:
-    """Rebuild a model config dataclass from plain JSON values."""
+    """Rebuild a model config dataclass from plain JSON values, checked against its field types."""
     if kind not in CONFIG_TYPES:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(CONFIG_TYPES)}")
-    values = dict(values)
-    if kind == "mlp" and "hidden_layers" in values:
-        values["hidden_layers"] = tuple(values["hidden_layers"])
+    hints = typing.get_type_hints(CONFIG_TYPES[kind])
+    for key, value in values.items():
+        if key in hints and not _fits(value, hints[key]):
+            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise ValueError(f"bad {kind} config: {key!r} is {value!r}, expected {expected}")
+    values = {key: tuple(value) if isinstance(value, list) else value for key, value in values.items()}
     try:
         return CONFIG_TYPES[kind](**values)
     except TypeError as exc:

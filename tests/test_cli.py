@@ -179,6 +179,22 @@ class TestCv:
         assert code == 2
         assert err == [f"error: --k (cv.k) must be >= 2, got {k}"]
 
+    @pytest.mark.parametrize("sidecar", ["[1]", '{"variant": []}', "not json"],
+                             ids=["list", "list-variant", "not-json"])
+    def test_sidecar_is_not_read(self, tmp_path, built, sidecar):
+        reports = []
+        for name, text in (("plain", None), ("sidecar", sidecar)):
+            dataset = tmp_path / name / "ds.csv"
+            dataset.parent.mkdir()
+            dataset.write_bytes((built / "dataset_D0.csv").read_bytes())
+            if text is not None:
+                dataset.with_name("ds.csv.meta.json").write_text(text)
+            assert run("cv", "--dataset", str(dataset), "--model", "majority", "--k", "4",
+                       "--out", str(tmp_path / name / "cv")) == 0
+            reports.append((tmp_path / name / "cv" / "cv_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[1])["fingerprint"]["dataset"]["variant"] == "D0"
+
 
 class TestTrainPredict:
     def test_round_trip_reproduces_predictions(self, tmp_path, built):
@@ -285,6 +301,16 @@ class TestManifests:
         assert (target / "manifest_generate.json").exists()
 
 
+# Model-section fields of the wrong type, with the test id of each.
+MODEL_FIELD_CASES = [
+    ({"kind": "forest", "n_trees": "3"}, "str-n_trees"),
+    ({"kind": "forest", "n_trees": True}, "bool-n_trees"),
+    ({"kind": "forest", "n_trees": None}, "null-n_trees"),
+    ({"kind": "knn", "k": 2.5}, "float-k"),
+    ({"kind": "gbt", "learning_rate": "0.1"}, "str-learning_rate"),
+]
+
+
 class TestMalformedInputs:
     def trained_model(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -335,8 +361,11 @@ class TestMalformedInputs:
         [
             ("", "empty dataset file, header expected"),
             ("f0,f1,A\n1,2,0\n3,x,1\n", "line 3: could not convert string to float: 'x'"),
+            ("f0,f1,A\n1,2,0\n3,4,0.7\n", "line 3: label '0.7' is not 0 or 1"),
+            ("f0,f1,A\n1,2,2\n3,4,1\n", "line 2: label '2' is not 0 or 1"),
+            ("f0,f1,A\n1,2,0\n3,4,-1\n", "line 3: label '-1' is not 0 or 1"),
         ],
-        ids=["empty-file", "non-numeric-cell"],
+        ids=["empty-file", "non-numeric-cell", "fractional-label", "label-2", "label-minus-1"],
     )
     def test_bad_dataset_file_is_one_error_line(self, tmp_path, capsys, content, message):
         path = tmp_path / "ds.csv"
@@ -374,9 +403,11 @@ class TestMalformedInputs:
             ("generate", {"generate": "x"}),
             ("cv", {"cv": [1]}),
             ("cv", {"out": 5}),
+            *((command, {"model": section}) for command in ("cv", "train") for section, _ in MODEL_FIELD_CASES),
         ],
         ids=["str-n_jobs", "str-k", "str-seed", "bool-n_jobs", "str-model", "str-resampler",
-             "str-generate", "list-cv", "int-out"],
+             "str-generate", "list-cv", "int-out",
+             *(f"{command}-{name}" for command in ("cv", "train") for _, name in MODEL_FIELD_CASES)],
     )
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, monkeypatch, capsys, command, config):
         monkeypatch.chdir(tmp_path)
@@ -384,7 +415,10 @@ class TestMalformedInputs:
         rng = np.random.default_rng(11)
         write_dataset_csv(make_dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20)), tmp_path / "ds.csv")
         (tmp_path / "cfg.json").write_text(json.dumps(config))
-        argv = {"cv": ["cv", "--dataset", "ds.csv", "--model", "majority"],
+        section = config.get("model")
+        kind = section.get("kind", "majority") if isinstance(section, dict) else "majority"
+        argv = {"cv": ["cv", "--dataset", "ds.csv", "--model", kind],
+                "train": ["train", "--dataset", "ds.csv", "--model", kind],
                 "generate": ["generate", "--n-users", "5"]}[command]
         capsys.readouterr()
         code = run(*argv, "--config", "cfg.json")

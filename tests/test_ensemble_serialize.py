@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from adherence.learn import (
     TreeConfig,
     build_model,
     classify,
+    config_from_dict,
     ensemble_predict_proba,
     load_model,
     save_model,
@@ -164,6 +167,29 @@ class TestBuildModel:
     def test_unknown_config(self):
         with pytest.raises(ValueError, match="unknown model config"):
             build_model(object())
+
+
+class TestConfigFromDict:
+    def test_json_values_fit_their_field_types(self):
+        assert config_from_dict("gbt", {"learning_rate": 1}).learning_rate == 1  # int fits float
+        assert config_from_dict("mlp", {"hidden_layers": [4, 2]}).hidden_layers == (4, 2)  # list fits tuple
+        assert config_from_dict("forest", {"max_depth": None}).max_depth is None  # field allows None
+        assert config_from_dict("forest", {"bootstrap": False}).bootstrap is False
+
+    @pytest.mark.parametrize(
+        "kind, values, message",
+        [
+            ("forest", {"n_trees": "3"}, "'n_trees' is '3', expected int"),
+            ("forest", {"bootstrap": 1}, "'bootstrap' is 1, expected bool"),
+            ("forest", {"max_depth": 2.0}, "'max_depth' is 2.0, expected int | None"),
+            ("mlp", {"hidden_layers": [4, True]}, "'hidden_layers' is [4, True], expected tuple[int, ...]"),
+            ("mlp", {"dtype": 32}, "'dtype' is 32, expected str"),
+        ],
+        ids=["str-int", "int-bool", "float-optional-int", "bool-in-tuple", "int-str"],
+    )
+    def test_value_of_wrong_type_rejected(self, kind, values, message):
+        with pytest.raises(ValueError, match=re.escape(f"bad {kind} config: {message}")):
+            config_from_dict(kind, values)
 
 
 class TestFitInput:

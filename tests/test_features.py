@@ -189,6 +189,15 @@ class TestCsvRoundTrip:
         path.with_suffix(path.suffix + ".meta.json").unlink()
         assert read_dataset_csv(path).variant == "D0"
 
+    def test_variant_named_by_exact_header(self, tmp_path, small_cleansed):
+        ds = build_variant(windows_for_database(small_cleansed), small_cleansed.profiles, "D1")
+        renamed = ["wk" if c == "week" else c for c in ds.column_names]
+        path = tmp_path / "d1.csv"
+        write_dataset_csv(TabularDataset("custom", renamed, ds.X, ds.y), path)
+        assert read_dataset_csv(path).variant == "custom"
+        write_dataset_csv(TabularDataset("custom", ds.column_names, ds.X, ds.y), path)
+        assert read_dataset_csv(path).variant == "D1"
+
     def test_wrong_width_for_variant_rejected(self):
         with pytest.raises(ValueError, match="requires 12 columns"):
             TabularDataset("D0", ["a", "b"], np.zeros((1, 2)), np.array([0]))
