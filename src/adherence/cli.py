@@ -39,7 +39,7 @@ from .ingestion import (
     write_database,
     write_rejects,
 )
-from .learn import CONFIG_TYPES, build_model, classify, config_from_dict, load_model, save_model
+from .learn import CONFIG_TYPES, build_model, classify, config_from_dict, from_json, load_model, save_model
 from .resample import METHODS as RESAMPLE_METHODS
 from .resample import ResampleConfig, oversample
 from .rng import substream_seed
@@ -51,7 +51,7 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config & manifest helpers
+# config and argument helpers
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -90,53 +90,25 @@ def _setting(cfg: dict, key: str, kind: type, default=None, flag=None):
     return value
 
 
-def _resolve_out(args, cfg: dict) -> Path:
-    out = args.out or os.environ.get("ADHERENCE_OUT") or _setting(cfg, "out", str) or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str]) -> None:
-    canonical = canonical_json(config)
-    doc = {
-        "artifact_version": __version__,
-        "command": command,
-        "config": json.loads(canonical),
-        "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "outputs": sorted(outputs),
-    }
-    write_json(out_dir / f"manifest_{command}.json", doc)
-
-
-def _require_dir(path: str | None, what: str) -> Path:
+def _require(path: str | None, what: str, exists) -> Path:
+    """``path`` as a Path; a UsageError if it is not given or ``exists`` is false for it."""
     if path is None:
         raise UsageError(f"{what} is required")
     p = Path(path)
-    if not p.is_dir():
-        raise UsageError(f"{what} does not exist: {p}")
-    return p
-
-
-def _require_file(path: str | None, what: str) -> Path:
-    if path is None:
-        raise UsageError(f"{what} is required")
-    p = Path(path)
-    if not p.is_file():
+    if not exists(p):
         raise UsageError(f"{what} does not exist: {p}")
     return p
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes (args, config file, output directory), writes its files
+# and returns the config its manifest records and the names of those files
 
-def cmd_generate(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_generate(args, cfg: dict, out: Path):
     section = _setting(cfg, "generate", dict, {})
     if args.n_users is not None:
         section = {**section, "n_users": args.n_users}
     seed = _setting(cfg, "seed", int, 0, flag=args.seed)
-    out = _resolve_out(args, cfg)
     try:
         synth_cfg = _synth_config(section, seed)
         synth_cfg.validate()
@@ -146,31 +118,23 @@ def cmd_generate(args) -> int:
     paths = write_database(db, out)
     outputs = [p.name for p in paths.acquisitions.values()]
     outputs += [paths.demographics.name] + [p.name for p in paths.questionnaires.values()]
-    _write_manifest(out, "generate", {"seed": seed, "generate": _synth_config_dict(synth_cfg)}, outputs)
     print(f"generated {synth_cfg.n_users} users, {len(db.events)} events -> {out}")
-    return 0
+    return {"seed": seed, "generate": _synth_config_dict(synth_cfg)}, outputs
 
 
 def _synth_config(section: dict, seed: int) -> synthgen.SynthConfig:
-    values = dict(section)
-    values.setdefault("seed", seed)
+    """The generate section as a SynthConfig; dates are ISO text and null-rate keys read "spq_1"."""
+    values = {"seed": seed, **section}
     for key in ("start_date", "end_date"):
-        if key in values and isinstance(values[key], str):
+        if isinstance(values.get(key), str):
             values[key] = date.fromisoformat(values[key])
-    if "null_rates" in values and isinstance(values["null_rates"], dict):
+    if isinstance(values.get("null_rates"), dict):
         rates = {}
         for key, rate in values["null_rates"].items():
             qid, _, inst = key.partition("_")
-            rates[(qid, int(inst))] = float(rate)
+            rates[(qid, int(inst))] = rate
         values["null_rates"] = {**synthgen.DEFAULT_NULL_RATES, **rates}
-    if "demographic_ranges" in values and isinstance(values["demographic_ranges"], dict):
-        values["demographic_ranges"] = {
-            k: (int(v[0]), int(v[1])) for k, v in values["demographic_ranges"].items()
-        }
-    try:
-        return synthgen.SynthConfig(**values)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from None
+    return from_json(synthgen.SynthConfig, values)
 
 
 def _synth_config_dict(cfg: synthgen.SynthConfig) -> dict:
@@ -179,18 +143,16 @@ def _synth_config_dict(cfg: synthgen.SynthConfig) -> dict:
     return d
 
 
-def _ingest(db_dir: Path):
-    paths = DatabasePaths.from_dir(db_dir)
-    db = parse_database(paths)
+def _ingest(args):
+    """The --db directory, the database parsed from it, the cleansed database and the cleanse report."""
+    db_dir = _require(args.db, "--db database directory", Path.is_dir)
+    db = parse_database(DatabasePaths.from_dir(db_dir))
     cleansed, report = cleanse(db)
-    return db, cleansed, report
+    return db_dir, db, cleansed, report
 
 
-def cmd_ingest(args) -> int:
-    cfg = _load_config(args.config)
-    db_dir = _require_dir(args.db, "--db database directory")
-    out = _resolve_out(args, cfg)
-    db, cleansed, report = _ingest(db_dir)
+def cmd_ingest(args, cfg: dict, out: Path):
+    db_dir, db, cleansed, report = _ingest(args)
     write_rejects(db.rejects, out / "rejects.csv")
     write_cleanse_report(report, out / "cleanse_report.csv")
     summary = {
@@ -201,12 +163,11 @@ def cmd_ingest(args) -> int:
         "n_events_retained": len(cleansed.events),
     }
     write_json(out / "ingest_summary.json", summary)
-    _write_manifest(out, "ingest", {"db": str(db_dir)}, ["rejects.csv", "cleanse_report.csv", "ingest_summary.json"])
     print(
         f"ingested {report.n_input_users} users: retained {report.n_retained}, "
         f"removed {report.n_removed}, rejected rows {len(db.rejects)}"
     )
-    return 0
+    return {"db": str(db_dir)}, ["rejects.csv", "cleanse_report.csv", "ingest_summary.json"]
 
 
 def _pick_variants(variant: str | None) -> list[str]:
@@ -217,12 +178,9 @@ def _pick_variants(variant: str | None) -> list[str]:
     return [variant]
 
 
-def cmd_build(args) -> int:
-    cfg = _load_config(args.config)
-    db_dir = _require_dir(args.db, "--db database directory")
+def cmd_build(args, cfg: dict, out: Path):
     variants = _pick_variants(_setting(cfg, "variant", str, flag=args.variant))
-    out = _resolve_out(args, cfg)
-    db, cleansed, report = _ingest(db_dir)
+    db_dir, db, cleansed, report = _ingest(args)
     samples = windows_for_database(cleansed)
     if not samples:
         print("warning: no window samples produced (empty or too-short database)", file=sys.stderr)
@@ -234,76 +192,66 @@ def cmd_build(args) -> int:
         ds = build_variant(samples, cleansed.profiles, variant)
         name = f"dataset_{variant}.csv"
         write_dataset_csv(ds, out / name)
-        outputs += [name, name + ".meta.json"]
-    _write_manifest(out, "build", {"db": str(db_dir), "variants": variants}, outputs)
+        outputs.append(name)
     print(f"built {len(samples)} windows into {len(variants)} dataset variant(s) -> {out}")
-    return 0
+    return {"db": str(db_dir), "variants": variants}, outputs
 
 
-def cmd_stats(args) -> int:
-    cfg = _load_config(args.config)
-    db_dir = _require_dir(args.db, "--db database directory")
+def cmd_stats(args, cfg: dict, out: Path):
     [variant] = _pick_variants(_setting(cfg, "variant", str, "D0", flag=args.variant))
-    out = _resolve_out(args, cfg)
-    _, cleansed, report = _ingest(db_dir)
+    db_dir, _, cleansed, report = _ingest(args)
     samples = windows_for_database(cleansed)
     outputs: list[str] = []
     stats_doc: dict = {"n_users": report.n_retained, "n_windows": len(samples)}
 
+    def table(name: str, header: list, rows, doc=None) -> None:
+        """Write <name>.csv, and record doc under name in stats.json unless it is None."""
+        write_csv(out / f"{name}.csv", header, rows)
+        outputs.append(f"{name}.csv")
+        if doc is not None:
+            stats_doc[name] = doc
+
     rows = analytics.null_rates(cleansed.profiles)
-    write_csv(out / "null_rates.csv", ["questionnaire", "feature_group", "instance", "pct_null"],
-              ([r.questionnaire, r.feature_group, r.instance, f"{r.pct_null:.2f}"] for r in rows))
-    stats_doc["null_rates"] = [dataclasses.asdict(r) for r in rows]
-    outputs.append("null_rates.csv")
+    table("null_rates", ["questionnaire", "feature_group", "instance", "pct_null"],
+          ([r.questionnaire, r.feature_group, r.instance, f"{r.pct_null:.2f}"] for r in rows),
+          [dataclasses.asdict(r) for r in rows])
 
     alphas = analytics.questionnaire_alpha_reports(cleansed.profiles)
-    write_csv(out / "cronbach_alpha.csv", ["questionnaire", "instance", "alpha", "n_respondents"],
-              ([a.questionnaire, a.instance, "" if a.alpha is None else f"{a.alpha:.4f}", a.n_respondents]
-               for a in alphas))
-    stats_doc["cronbach_alpha"] = [dataclasses.asdict(a) for a in alphas]
-    outputs.append("cronbach_alpha.csv")
+    table("cronbach_alpha", ["questionnaire", "instance", "alpha", "n_respondents"],
+          ([a.questionnaire, a.instance, "" if a.alpha is None else f"{a.alpha:.4f}", a.n_respondents]
+           for a in alphas),
+          [dataclasses.asdict(a) for a in alphas])
 
     demo = analytics.demographic_summary(cleansed.profiles)
-    write_csv(out / "demographics.csv", ["field", "min", "max", "mean", "mode"],
-              ([name, s.minimum, s.maximum, f"{s.mean:.4f}", s.mode] for name, s in demo.items()))
-    stats_doc["demographics"] = {k: dataclasses.asdict(v) for k, v in demo.items()}
-    outputs.append("demographics.csv")
+    table("demographics", ["field", "min", "max", "mean", "mode"],
+          ([name, s.minimum, s.maximum, f"{s.mean:.4f}", s.mode] for name, s in demo.items()),
+          {k: dataclasses.asdict(v) for k, v in demo.items()})
 
     if samples:
         dist = analytics.acquisition_distribution(samples)
-        write_csv(out / "acquisition_distribution.csv", ["bin_start", "bin_end", "count"],
-                  ([b.start, b.end, b.count] for b in dist.bins))
-        stats_doc["acquisition_distribution"] = {
-            "mean": dist.mean,
-            "min": dist.minimum,
-            "max": dist.maximum,
-        }
-        outputs.append("acquisition_distribution.csv")
+        table("acquisition_distribution", ["bin_start", "bin_end", "count"],
+              ([b.start, b.end, b.count] for b in dist.bins),
+              {"mean": dist.mean, "min": dist.minimum, "max": dist.maximum})
 
         d0 = build_variant(samples, cleansed.profiles, "D0")
         corr, names = analytics.session_correlation_matrix(d0)
-        write_csv(out / "session_correlation.csv", ["", *names],
-                  ([name, *("" if math.isnan(v) else repr(float(v)) for v in row)]
-                   for name, row in zip(names, corr)))
-        outputs.append("session_correlation.csv")
+        table("session_correlation", ["", *names],
+              ([name, *("" if math.isnan(v) else repr(float(v)) for v in row)]
+               for name, row in zip(names, corr)))
 
         ds = d0 if variant == "D0" else build_variant(samples, cleansed.profiles, variant)
         dup = analytics.duplicate_analysis(ds)
-        write_csv(out / "duplicates.csv", ["multiplicity", "n_tuples"], dup.multiplicity_histogram.items())
-        stats_doc["duplicates"] = {
+        table("duplicates", ["multiplicity", "n_tuples"], dup.multiplicity_histogram.items(), {
             "variant": variant,
             "n_rows": dup.n_rows,
             "n_distinct": dup.n_distinct,
             "n_duplicate_groups": len(dup.duplicates),
             "top_groups": [dataclasses.asdict(g) for g in dup.duplicates[:20]],
-        }
-        outputs.append("duplicates.csv")
+        })
 
     write_json(out / "stats.json", stats_doc)
-    outputs.append("stats.json")
-    _write_manifest(out, "stats", {"db": str(db_dir), "variant": variant}, outputs)
     print(f"stats written -> {out}")
-    return 0
+    return {"db": str(db_dir), "variant": variant}, [*outputs, "stats.json"]
 
 
 def _model_config(args, cfg: dict, seed: int):
@@ -326,30 +274,34 @@ def _resample_config(args, cfg: dict, seed: int) -> ResampleConfig | None:
         return None
     if method not in RESAMPLE_METHODS:
         raise UsageError(f"unknown resampler {method!r}; expected one of {RESAMPLE_METHODS} or 'none'")
-    params = {k: v for k, v in _setting(cfg, "resampler", dict, {}).items() if k != "method"}
-    params.setdefault("seed", substream_seed(seed, "resample"))
+    section = _setting(cfg, "resampler", dict, {})
+    params = {"seed": substream_seed(seed, "resample"), **section, "method": method}
     try:
-        return ResampleConfig(method=method, **params)
+        return from_json(ResampleConfig, params)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad resampler config: {exc}") from None
 
 
-def cmd_cv(args) -> int:
-    cfg = _load_config(args.config)
-    dataset_path = _require_file(args.dataset, "--dataset file")
+def _fit_inputs(args, cfg: dict):
+    """The --dataset path, its labelled dataset, the seed, and the model and resampler configs."""
+    dataset_path = _require(args.dataset, "--dataset file", Path.is_file)
     seed = _setting(cfg, "seed", int, 0, flag=args.seed)
-    out = _resolve_out(args, cfg)
     model_cfg = _model_config(args, cfg, seed)
     resample_cfg = _resample_config(args, cfg, seed)
+    ds = read_dataset_csv(dataset_path)
+    if ds.y is None:
+        raise UsageError(f"dataset {dataset_path} has no '{LABEL_COLUMN}' label column")
+    return dataset_path, ds, seed, model_cfg, resample_cfg
+
+
+def cmd_cv(args, cfg: dict, out: Path):
     n_jobs = _setting(cfg, "cv.n_jobs", int, 1, flag=args.jobs)
     if n_jobs < 1:
         raise UsageError(f"--jobs (cv.n_jobs) must be >= 1, got {n_jobs}")
     k = _setting(cfg, "cv.k", int, 10, flag=args.k)
     if k < 2:
         raise UsageError(f"--k (cv.k) must be >= 2, got {k}")
-    ds = read_dataset_csv(dataset_path)
-    if ds.y is None:
-        raise UsageError(f"dataset {dataset_path} has no '{LABEL_COLUMN}' label column")
+    _, ds, seed, model_cfg, resample_cfg = _fit_inputs(args, cfg)
     report = cross_validate(
         ds,
         model_cfg,
@@ -359,25 +311,16 @@ def cmd_cv(args) -> int:
         n_jobs=n_jobs,
     )
     write_report(report, out / "cv_report.json", out / "cv_report.csv")
-    _write_manifest(out, "cv", report.fingerprint, ["cv_report.json", "cv_report.csv"])
     pooled = report.pooled
     print(
         f"cv done: pooled accuracy {pooled.accuracy:.4f}, "
         f"score {'n/a' if pooled.score is None else f'{pooled.score:.4f}'} -> {out}"
     )
-    return 0
+    return report.fingerprint, ["cv_report.json", "cv_report.csv"]
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
-    dataset_path = _require_file(args.dataset, "--dataset file")
-    seed = _setting(cfg, "seed", int, 0, flag=args.seed)
-    out = _resolve_out(args, cfg)
-    model_cfg = _model_config(args, cfg, seed)
-    resample_cfg = _resample_config(args, cfg, seed)
-    ds = read_dataset_csv(dataset_path)
-    if ds.y is None:
-        raise UsageError(f"dataset {dataset_path} has no '{LABEL_COLUMN}' label column")
+def cmd_train(args, cfg: dict, out: Path):
+    dataset_path, ds, seed, model_cfg, resample_cfg = _fit_inputs(args, cfg)
     state = None
     if not args.no_preprocess:
         state = fit_preprocess(ds)
@@ -387,27 +330,19 @@ def cmd_train(args) -> int:
     model = build_model(model_cfg)
     model.fit(ds.X, ds.labels(), feature_names=ds.column_names)
     save_model(model, out / "model.json", preprocess=state)
-    _write_manifest(
-        out,
-        "train",
-        {
-            "dataset": str(dataset_path),
-            "seed": seed,
-            "model": {"kind": model.kind, **dataclasses.asdict(model_cfg)},
-            "resample": None if resample_cfg is None else dataclasses.asdict(resample_cfg),
-            "preprocess": not args.no_preprocess,
-        },
-        ["model.json"],
-    )
     print(f"trained {model.kind} on {ds.n_rows} rows -> {out / 'model.json'}")
-    return 0
+    return {
+        "dataset": str(dataset_path),
+        "seed": seed,
+        "model": {"kind": model.kind, **dataclasses.asdict(model_cfg)},
+        "resample": None if resample_cfg is None else dataclasses.asdict(resample_cfg),
+        "preprocess": not args.no_preprocess,
+    }, ["model.json"]
 
 
-def cmd_predict(args) -> int:
-    cfg = _load_config(args.config)
-    model_path = _require_file(args.model_file, "--model-file")
-    dataset_path = _require_file(args.dataset, "--dataset file")
-    out = _resolve_out(args, cfg)
+def cmd_predict(args, cfg: dict, out: Path):
+    model_path = _require(args.model_file, "--model-file", Path.is_file)
+    dataset_path = _require(args.dataset, "--dataset file", Path.is_file)
     model, state = load_model(model_path)
     ds = read_dataset_csv(dataset_path)
     if model.feature_names is not None and list(ds.column_names) != list(model.feature_names):
@@ -423,75 +358,71 @@ def cmd_predict(args) -> int:
     labels = classify(proba)
     write_csv(out / "predictions.csv", ["row_id", "p_high", "label"],
               ([i, repr(float(proba[i, 1])), int(labels[i])] for i in range(proba.shape[0])))
-    _write_manifest(out, "predict", {"model": str(model_path), "dataset": str(dataset_path)}, ["predictions.csv"])
     print(f"predicted {proba.shape[0]} rows -> {out / 'predictions.csv'}")
-    return 0
+    return {"model": str(model_path), "dataset": str(dataset_path)}, ["predictions.csv"]
 
 
 # ---------------------------------------------------------------------------
+
+# Every flag once; each command takes --config, --seed and --out plus its own.
+_FLAGS = {
+    "--config": dict(help="JSON config file; flags override its values"),
+    "--seed": dict(type=int, help="global seed for all sub-streams"),
+    "--out": dict(help="output directory (or set ADHERENCE_OUT)"),
+    "--n-users": dict(type=int, help="number of synthetic users"),
+    "--db": dict(help="database directory"),
+    "--variant": dict(help="variant D0..D6 (build: default all; stats: for duplicate analysis, default D0)"),
+    "--dataset": dict(help="dataset CSV produced by build (label column optional for predict)"),
+    "--model": dict(help="model kind: knn|tree|forest|gbt|mlp|majority"),
+    "--resampler": dict(help="none|random|smote|adasyn"),
+    "--k": dict(type=int, help="number of folds (default 10)"),
+    "--jobs": dict(type=int, help="fold-level worker threads"),
+    "--no-preprocess": dict(action="store_true", help="skip imputation/scaling"),
+    "--model-file": dict(help="model JSON written by train"),
+}
+
+_COMMANDS = {
+    "generate": (cmd_generate, "write a seeded synthetic database", ["--n-users"]),
+    "ingest": (cmd_ingest, "parse and cleanse a database, reporting rejects", ["--db"]),
+    "build": (cmd_build, "ingest, sessionize and emit dataset variants", ["--db", "--variant"]),
+    "stats": (cmd_stats, "diagnostic reports for a database", ["--db", "--variant"]),
+    "cv": (cmd_cv, "cross-validate a model on a built dataset",
+           ["--dataset", "--model", "--resampler", "--k", "--jobs"]),
+    "train": (cmd_train, "fit a model on a full dataset and persist it",
+              ["--dataset", "--model", "--resampler", "--no-preprocess"]),
+    "predict": (cmd_predict, "run a persisted model over a feature CSV", ["--model-file", "--dataset"]),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adherence", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help="global seed for all sub-streams")
-        p.add_argument("--out", help="output directory (or set ADHERENCE_OUT)")
-
-    p = sub.add_parser("generate", help="write a seeded synthetic database")
-    common(p)
-    p.add_argument("--n-users", type=int, help="number of synthetic users")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("ingest", help="parse and cleanse a database, reporting rejects")
-    common(p)
-    p.add_argument("--db", help="database directory")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("build", help="ingest, sessionize and emit dataset variants")
-    common(p)
-    p.add_argument("--db", help="database directory")
-    p.add_argument("--variant", help="single variant D0..D6 (default: all)")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("stats", help="diagnostic reports for a database")
-    common(p)
-    p.add_argument("--db", help="database directory")
-    p.add_argument("--variant", help="variant for duplicate analysis (default D0)")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("cv", help="cross-validate a model on a built dataset")
-    common(p)
-    p.add_argument("--dataset", help="dataset CSV produced by build")
-    p.add_argument("--model", help="model kind: knn|tree|forest|gbt|mlp|majority")
-    p.add_argument("--resampler", help="none|random|smote|adasyn")
-    p.add_argument("--k", type=int, help="number of folds (default 10)")
-    p.add_argument("--jobs", type=int, help="fold-level worker threads")
-    p.set_defaults(func=cmd_cv)
-
-    p = sub.add_parser("train", help="fit a model on a full dataset and persist it")
-    common(p)
-    p.add_argument("--dataset", help="dataset CSV")
-    p.add_argument("--model", help="model kind")
-    p.add_argument("--resampler", help="none|random|smote|adasyn")
-    p.add_argument("--no-preprocess", action="store_true", help="skip imputation/scaling")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="run a persisted model over a feature CSV")
-    common(p)
-    p.add_argument("--model-file", help="model JSON written by train")
-    p.add_argument("--dataset", help="feature CSV (label column optional)")
-    p.set_defaults(func=cmd_predict)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in ("--config", "--seed", "--out", *flags):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Load the config, make the output directory, run the command, write its manifest, map errors."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args.config)
+        out = Path(args.out or os.environ.get("ADHERENCE_OUT") or _setting(cfg, "out", str) or "out")
+        out.mkdir(parents=True, exist_ok=True)
+        config, outputs = args.func(args, cfg, out)
+        canonical = canonical_json(config)
+        write_json(out / f"manifest_{args.command}.json", {
+            "artifact_version": __version__,
+            "command": args.command,
+            "config": json.loads(canonical),
+            "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+            "outputs": sorted(outputs),
+        })
+        return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

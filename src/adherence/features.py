@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import write_csv, write_json
+from .artifact import write_csv
 from .ingestion import (
     DEMOGRAPHIC_FIELDS,
     QUESTIONNAIRE_INSTANCES,
@@ -214,8 +214,7 @@ def _format_cell(v: float) -> str:
 
 
 def write_dataset_csv(ds: TabularDataset, path: str | Path) -> None:
-    """Write the dataset plus a sidecar .meta.json describing it."""
-    path = Path(path)
+    """Write the dataset as CSV; its header alone names its variant (see read_dataset_csv)."""
 
     def rows():
         for r in range(ds.n_rows):
@@ -226,8 +225,6 @@ def write_dataset_csv(ds: TabularDataset, path: str | Path) -> None:
             yield row
 
     write_csv(path, list(ds.column_names) + ([LABEL_COLUMN] if ds.y is not None else []), rows())
-    write_json(path.with_suffix(path.suffix + ".meta.json"),
-               {"variant": ds.variant, "columns": list(ds.column_names), "n_rows": ds.n_rows})
 
 
 def read_dataset_csv(path: str | Path) -> TabularDataset:

@@ -16,6 +16,7 @@ from .serialize import (
     CONFIG_TYPES,
     MODEL_TYPES,
     config_from_dict,
+    from_json,
     load_model,
     save_model,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "ensemble_predict_proba",
     "build_model",
     "config_from_dict",
+    "from_json",
     "model_kind",
     "save_model",
     "load_model",

@@ -76,8 +76,19 @@ def _pack_tree(tree: _Tree) -> dict:
     return {k: encode_array(getattr(tree, k)) for k in _TREE_ARRAYS}
 
 
-def _unpack_tree(d: dict) -> _Tree:
-    return _Tree(*(decode_array(d[k]) for k in _TREE_ARRAYS))
+def _unpack_tree(d: dict, n_features: int) -> _Tree:
+    """A tree whose predict loop stays in range and ends: each internal node's children come after it."""
+    tree = _Tree(*(decode_array(d[k]) for k in _TREE_ARRAYS))
+    n = tree.n_nodes
+    if n == 0 or [getattr(tree, k).shape for k in _TREE_ARRAYS] != [(n,)] * 5 + [(n_features,)]:
+        raise ValueError("tree arrays have the wrong lengths")  # five per node, importance per feature
+    if tree.feature.min() < -1 or tree.feature.max() >= n_features:
+        raise ValueError(f"tree feature outside [-1, {n_features})")
+    inner = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[inner], tree.right[inner]):
+        if np.any(child <= inner) or np.any(child >= n):
+            raise ValueError("tree child index out of order or range")
+    return tree
 
 
 def _pack_params(model: Model) -> dict:
@@ -102,9 +113,9 @@ def _unpack_params(model: Model, params: dict) -> None:
         model.X_ = decode_array(params["X"])
         model.y_ = decode_array(params["y"])
     elif isinstance(model, DecisionTree):
-        model.tree_ = _unpack_tree(params["tree"])
+        model.tree_ = _unpack_tree(params["tree"], model.n_features_)
     elif isinstance(model, (RandomForest, GradientBoostedTrees)):
-        model.trees_ = [_unpack_tree(t) for t in params["trees"]]
+        model.trees_ = [_unpack_tree(t, model.n_features_) for t in params["trees"]]
     elif isinstance(model, MlpClassifier):
         model.weights_ = [decode_array(W) for W in params["weights"]]
         model.biases_ = [decode_array(b) for b in params["biases"]]
@@ -186,27 +197,38 @@ def load_model(path: str | Path) -> tuple[Model, PreprocessState | None]:
 
 
 def _fits(value: object, hint: object) -> bool:
-    """Whether a JSON value fits a config field type: bool is not int, int fits float, list fits tuple."""
+    """Whether a JSON value fits a field type: bool is not int, int fits float, a list fits a tuple."""
+    args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):
-        return any(_fits(value, a) for a in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
-        return isinstance(value, (list, tuple)) and all(_fits(v, typing.get_args(hint)[0]) for v in value)
+        return any(_fits(value, a) for a in args)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...] or tuple[A, B]
+        if not isinstance(value, (list, tuple)):
+            return False
+        kinds = [args[0]] * len(value) if args[1:] == (...,) else args
+        return len(value) == len(kinds) and all(map(_fits, value, kinds))
+    if typing.get_origin(hint) is dict:
+        return isinstance(value, dict) and all(_fits(k, args[0]) and _fits(v, args[1])
+                                               for k, v in value.items())
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
+
+
+def from_json(cls: type, values: dict):
+    """Dataclass cls built from plain JSON values; a TypeError names a value that does not fit its field."""
+    hints = typing.get_type_hints(cls)
+    for key, value in values.items():
+        if key in hints and not _fits(value, hints[key]):
+            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise TypeError(f"{key!r} is {value!r}, expected {expected}")
+    return cls(**{key: tuple(value) if isinstance(value, list) else value for key, value in values.items()})
 
 
 def config_from_dict(kind: str, values: dict) -> object:
     """Rebuild a model config dataclass from plain JSON values, checked against its field types."""
     if kind not in CONFIG_TYPES:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(CONFIG_TYPES)}")
-    hints = typing.get_type_hints(CONFIG_TYPES[kind])
-    for key, value in values.items():
-        if key in hints and not _fits(value, hints[key]):
-            expected = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
-            raise ValueError(f"bad {kind} config: {key!r} is {value!r}, expected {expected}")
-    values = {key: tuple(value) if isinstance(value, list) else value for key, value in values.items()}
     try:
-        return CONFIG_TYPES[kind](**values)
+        return from_json(CONFIG_TYPES[kind], values)
     except TypeError as exc:
         raise ValueError(f"bad {kind} config: {exc}") from None

@@ -31,20 +31,15 @@ ENCODERS = ("csv.writer(", "json.dump(", "json.dumps(", ".write_text(")
 DIGESTS = {
     "built/cleanse_report.csv": "fa7d58ecf2f2bca361e4147a4654deee0a207816fb4f14e1ea42e66c2d6d56ce",
     "built/dataset_D0.csv": "e2136902e851497423a935208106a1033b122195b257b7d43143852d3feb0c6b",
-    "built/dataset_D0.csv.meta.json": "fa98645e3cde19ac3c6d8a95fca5782a399adf8803c432a7d4e2060a5b2c3271",
     "built/dataset_D1.csv": "212cbd4b0137a020073b7e10a7567e4f006b6921c85ad2bf82e7910f01694b5a",
-    "built/dataset_D1.csv.meta.json": "cc7d6e05fdad433ce06d58330481be1f5a8a0d71ea3ef041b991cbf432685233",
     "built/dataset_D2.csv": "da8d959c165c5308f51f1c8751e8082fbb5f5660227f97c2d54f402341b840fb",
-    "built/dataset_D2.csv.meta.json": "b9ba379ce28e2f9b73ac40ccf1ac8e513b3e2818b8c468e828509d2503b98f7e",
     "built/dataset_D3.csv": "b241797fc2309dd449cb4f64b904ee0f3445260ec2c4457d0ccf74b71b00a977",
-    "built/dataset_D3.csv.meta.json": "2cc347592a6dd86e9550a0624d3852e8285dfec3d5e0ecba859e21c2cf63d104",
     "built/dataset_D4.csv": "6ff5c5fc42acb7511f3847118fc596c06996aea7f197294874dcae7e20894cc9",
-    "built/dataset_D4.csv.meta.json": "085b5c4ec3b6a76c5325356736054c0cb902c41001a865ac74b8ef1fe7b054f4",
     "built/dataset_D5.csv": "72d5fcf5dee555ade8f23719714b472ee905a28e460765362ec34bf2f23b3cb3",
-    "built/dataset_D5.csv.meta.json": "0c2a9361a33cf3f72205dbb6dea6715e26c60a75f61bd345b53fbd4c963a536b",
     "built/dataset_D6.csv": "a81dd94576d3db4dab95507b2934727a34741d7f077a56bec7cbed9789fca1e6",
-    "built/dataset_D6.csv.meta.json": "857cb84dc5952e731a864b946028c1f11414e1ddf7bf2c603f219c6d1b1862e5",
-    "built/manifest_build.json": "0591a0ab5dd81878e2f3f561b9d13ba1d326d20b8975d0ee038d3a51ad72c71b",
+    # Re-recorded when build stopped writing dataset_D*.csv.meta.json: its
+    # outputs list lost those seven names and nothing else changed.
+    "built/manifest_build.json": "3985c513615bee7d716080f406df067edc75e244f2c3dabd4a9c5de9dc6110d1",
     "built/rejects.csv": "0cde5854769ff55fec75300ac5959129f218e5143fd291a4837b2f923cf8d46e",
     "built/windows.csv": "41260bd99e758c2db434a2f51765081a30a7df9c7556ec297c6d666ccd3facf9",
     # The two cv_report.csv digests are of CRLF rows, like every other CSV; the

@@ -1,13 +1,17 @@
+import argparse
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from adherence.cli import main
+from adherence.cli import build_parser, main
 from adherence.features import read_dataset_csv, write_dataset_csv
+from adherence.learn.serialize import decode_array, encode_array
 
 from conftest import make_dataset
+from test_artifact_pin import COMMANDS
 
 
 def run(*argv):
@@ -300,6 +304,41 @@ class TestManifests:
         assert run("generate", "--seed", "1", "--n-users", "5") == 0
         assert (target / "manifest_generate.json").exists()
 
+    def test_outputs_are_the_files_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("tree.json").write_text(json.dumps({"model": {"kind": "tree", "max_depth": 3}}))
+        for argv in COMMANDS:
+            assert main(argv) == 0, argv
+            out = Path(argv[argv.index("--out") + 1])
+            manifest = f"manifest_{argv[0]}.json"
+            written = {p.name for p in out.iterdir() if p.name != manifest}
+            assert sorted(written) == json.loads((out / manifest).read_text())["outputs"], argv
+
+
+# Every subcommand's flags and value types, recorded from the parser before
+# its flags were declared in one table.
+FLAGS = {
+    "generate": ["-h/--help flag", "--config str", "--seed int", "--out str", "--n-users int"],
+    "ingest": ["-h/--help flag", "--config str", "--seed int", "--out str", "--db str"],
+    "build": ["-h/--help flag", "--config str", "--seed int", "--out str", "--db str", "--variant str"],
+    "stats": ["-h/--help flag", "--config str", "--seed int", "--out str", "--db str", "--variant str"],
+    "cv": ["-h/--help flag", "--config str", "--seed int", "--out str", "--dataset str", "--model str",
+           "--resampler str", "--k int", "--jobs int"],
+    "train": ["-h/--help flag", "--config str", "--seed int", "--out str", "--dataset str", "--model str",
+              "--resampler str", "--no-preprocess flag"],
+    "predict": ["-h/--help flag", "--config str", "--seed int", "--out str", "--model-file str", "--dataset str"],
+}
+
+
+def test_every_command_keeps_its_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: [f"{'/'.join(a.option_strings)} {'flag' if a.nargs == 0 else (a.type or str).__name__}"
+               for a in parser._actions]
+        for name, parser in sub.choices.items()
+    }
+    assert flags == FLAGS
+
 
 # Model-section fields of the wrong type, with the test id of each.
 MODEL_FIELD_CASES = [
@@ -309,6 +348,13 @@ MODEL_FIELD_CASES = [
     ({"kind": "knn", "k": 2.5}, "float-k"),
     ({"kind": "gbt", "learning_rate": "0.1"}, "str-learning_rate"),
 ]
+
+
+def edit_tree(array, edit):
+    """A params edit: decode the tree's node array, change it with edit and encode it back."""
+    def apply(params):
+        params["tree"][array] = encode_array(edit(decode_array(params["tree"][array])))
+    return apply
 
 
 class TestMalformedInputs:
@@ -333,16 +379,23 @@ class TestMalformedInputs:
             ("format_version", 1, "unsupported model format version 1"),
             ("preprocess", {}, "bad preprocess block (KeyError('column_names'))"),
             ("preprocess", [], "bad preprocess block (TypeError("),
+            ("params", edit_tree("left", lambda a: np.r_[1000, a[1:]]), "tree child index out of order or range"),
+            ("params", edit_tree("left", lambda a: np.r_[0, a[1:]]), "tree child index out of order or range"),
+            ("params", edit_tree("feature", lambda a: np.r_[99, a[1:]]), "tree feature outside [-1, 3)"),
+            ("params", edit_tree("value", lambda a: a[:-1]), "tree arrays have the wrong lengths"),
         ],
         ids=["no-kind", "no-config", "no-n_features", "no-feature_names", "no-params",
              "str-n_features", "list-params", "empty-params", "format-version-1",
-             "empty-preprocess", "list-preprocess"],
+             "empty-preprocess", "list-preprocess",
+             "child-out-of-range", "own-left-child", "feature-99", "short-value"],
     )
     def test_bad_model_file_is_one_error_line(self, tmp_path, capsys, key, value, message):
         path = self.trained_model(tmp_path)
         doc = json.loads(path.read_text())
         if value is None:
             del doc[key]
+        elif callable(value):
+            value(doc[key])
         else:
             doc[key] = value
         path.write_text(json.dumps(doc))
@@ -404,10 +457,19 @@ class TestMalformedInputs:
             ("cv", {"cv": [1]}),
             ("cv", {"out": 5}),
             *((command, {"model": section}) for command in ("cv", "train") for section, _ in MODEL_FIELD_CASES),
+            ("cv", {"resampler": {"method": "smote", "k_neighbors": True}}),
+            ("cv", {"resampler": {"method": "smote", "seed": 1.5}}),
+            ("generate", {"generate": {"n_users": True}}),
+            ("generate", {"generate": {"waning_sessions": 2.5}}),
+            ("generate", {"generate": {"seed": 1.5}}),
+            ("generate", {"generate": {"null_rates": [1]}}),
+            ("generate", {"generate": {"demographic_ranges": {"education": [0]}}}),
         ],
         ids=["str-n_jobs", "str-k", "str-seed", "bool-n_jobs", "str-model", "str-resampler",
              "str-generate", "list-cv", "int-out",
-             *(f"{command}-{name}" for command in ("cv", "train") for _, name in MODEL_FIELD_CASES)],
+             *(f"{command}-{name}" for command in ("cv", "train") for _, name in MODEL_FIELD_CASES),
+             "bool-resampler-k_neighbors", "float-resampler-seed", "bool-n_users", "float-waning_sessions",
+             "float-generate-seed", "list-null_rates", "short-demographic-range"],
     )
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, monkeypatch, capsys, command, config):
         monkeypatch.chdir(tmp_path)
@@ -419,7 +481,8 @@ class TestMalformedInputs:
         kind = section.get("kind", "majority") if isinstance(section, dict) else "majority"
         argv = {"cv": ["cv", "--dataset", "ds.csv", "--model", kind],
                 "train": ["train", "--dataset", "ds.csv", "--model", kind],
-                "generate": ["generate", "--n-users", "5"]}[command]
+                "generate": ["generate"] if "n_users" in config.get("generate", "")
+                else ["generate", "--n-users", "5"]}[command]
         capsys.readouterr()
         code = run(*argv, "--config", "cfg.json")
         captured = capsys.readouterr()
