@@ -108,7 +108,7 @@ def cmd_generate(args, cfg: dict, out: Path):
     section = _setting(cfg, "generate", dict, {})
     if args.n_users is not None:
         section = {**section, "n_users": args.n_users}
-    seed = _setting(cfg, "seed", int, 0, flag=args.seed)
+    seed = _setting(cfg, "generate.seed", int, _setting(cfg, "seed", int, 0), flag=args.seed)
     try:
         synth_cfg = _synth_config(section, seed)
         synth_cfg.validate()
@@ -124,7 +124,7 @@ def cmd_generate(args, cfg: dict, out: Path):
 
 def _synth_config(section: dict, seed: int) -> synthgen.SynthConfig:
     """The generate section as a SynthConfig; dates are ISO text and null-rate keys read "spq_1"."""
-    values = {"seed": seed, **section}
+    values = {**section, "seed": seed}
     for key in ("start_date", "end_date"):
         if isinstance(values.get(key), str):
             values[key] = date.fromisoformat(values[key])
@@ -364,7 +364,8 @@ def cmd_predict(args, cfg: dict, out: Path):
 
 # ---------------------------------------------------------------------------
 
-# Every flag once; each command takes --config, --seed and --out plus its own.
+# Every flag once; each command takes --config and --out, the commands in
+# _SEEDED take --seed, and each takes its own.
 _FLAGS = {
     "--config": dict(help="JSON config file; flags override its values"),
     "--seed": dict(type=int, help="global seed for all sub-streams"),
@@ -393,6 +394,8 @@ _COMMANDS = {
     "predict": (cmd_predict, "run a persisted model over a feature CSV", ["--model-file", "--dataset"]),
 }
 
+_SEEDED = ("generate", "cv", "train")  # the commands that draw random numbers
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adherence", description=__doc__)
@@ -400,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in ("--config", "--seed", "--out", *flags):
+        common = ("--config", "--seed", "--out") if name in _SEEDED else ("--config", "--out")
+        for flag in (*common, *flags):
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser

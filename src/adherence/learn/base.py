@@ -15,10 +15,12 @@ def classify(proba: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 
 
 def check_proba(proba: np.ndarray) -> np.ndarray:
-    """Validate an (n, 2) probability matrix: entries in [0,1], rows sum to 1."""
+    """Validate an (n, 2) probability matrix: finite entries in [0,1], rows sum to 1."""
     proba = np.asarray(proba, dtype=np.float64)
     if proba.ndim != 2 or proba.shape[1] != 2:
         raise ValueError("expected an (n, 2) probability matrix")
+    if not np.isfinite(proba).all():
+        raise ValueError("probabilities must be finite")
     if np.any(proba < -1e-9) or np.any(proba > 1 + 1e-9):
         raise ValueError("probabilities outside [0, 1]")
     if np.any(np.abs(proba.sum(axis=1) - 1.0) > 1e-6):

@@ -37,6 +37,8 @@ class MlpConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

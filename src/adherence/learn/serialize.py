@@ -112,6 +112,9 @@ def _unpack_params(model: Model, params: dict) -> None:
     if isinstance(model, KnnClassifier):
         model.X_ = decode_array(params["X"])
         model.y_ = decode_array(params["y"])
+        X, y, k = model.X_, model.y_, model.cfg.k
+        if X.ndim != 2 or X.shape[1] != model.n_features_ or y.shape != X.shape[:1] or X.shape[0] < k:
+            raise ValueError(f"knn arrays must be X (n, {model.n_features_}) and y (n,) with n >= k={k}")
     elif isinstance(model, DecisionTree):
         model.tree_ = _unpack_tree(params["tree"], model.n_features_)
     elif isinstance(model, (RandomForest, GradientBoostedTrees)):
@@ -119,6 +122,10 @@ def _unpack_params(model: Model, params: dict) -> None:
     elif isinstance(model, MlpClassifier):
         model.weights_ = [decode_array(W) for W in params["weights"]]
         model.biases_ = [decode_array(b) for b in params["biases"]]
+        widths = [model.n_features_, *model.cfg.hidden_layers, 2]
+        shapes = [W.shape for W in model.weights_] + [b.shape for b in model.biases_]
+        if shapes != [*zip(widths, widths[1:]), *((w,) for w in widths[1:])]:
+            raise ValueError(f"mlp layer shapes must follow widths {widths}")
     elif isinstance(model, MajorityModel):
         model.p1_ = float.fromhex(params["p1"])
     else:
@@ -181,8 +188,10 @@ def load_model(path: str | Path) -> tuple[Model, PreprocessState | None]:
     kind = doc["kind"]
     if kind not in MODEL_TYPES:
         raise ValueError(f"unknown model kind {kind!r}")
-    cfg = config_from_dict(kind, doc["config"])
-    model = MODEL_TYPES[kind](cfg)
+    try:
+        model = MODEL_TYPES[kind](config_from_dict(kind, doc["config"]))
+    except ValueError as exc:
+        raise ValueError(f"malformed model file {path}: {exc}") from None
     model.n_features_ = doc["n_features"]
     model.feature_names = doc["feature_names"]
     try:
@@ -225,10 +234,10 @@ def from_json(cls: type, values: dict):
 
 
 def config_from_dict(kind: str, values: dict) -> object:
-    """Rebuild a model config dataclass from plain JSON values, checked against its field types."""
+    """Rebuild a model config dataclass from plain JSON values, checked against its field types and ranges."""
     if kind not in CONFIG_TYPES:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {sorted(CONFIG_TYPES)}")
     try:
         return from_json(CONFIG_TYPES[kind], values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad {kind} config: {exc}") from None

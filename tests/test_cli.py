@@ -52,6 +52,25 @@ class TestGenerate:
         manifest = json.loads((out / "manifest_generate.json").read_text())
         assert manifest["config"]["generate"]["n_users"] == 12
 
+    @pytest.mark.parametrize(
+        "config, flag, used",
+        [
+            ({"seed": 1, "generate": {"seed": 3}}, ["--seed", "5"], 5),
+            ({"seed": 1, "generate": {"seed": 3}}, [], 3),
+            ({"seed": 1}, [], 1),
+        ],
+        ids=["flag", "generate-section", "top-level"],
+    )
+    def test_seed_precedence(self, tmp_path, config, flag, used):
+        """--seed, then generate.seed, then the top-level seed; the manifest records the one used."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**config, "generate": {"n_users": 3, **config.get("generate", {})}}))
+        assert run("generate", "--config", str(cfg), *flag, "--out", str(tmp_path / "a")) == 0
+        assert run("generate", "--seed", str(used), "--n-users", "3", "--out", str(tmp_path / "b")) == 0
+        assert (tmp_path / "a" / "demographics.csv").read_bytes() == (tmp_path / "b" / "demographics.csv").read_bytes()
+        manifest = json.loads((tmp_path / "a" / "manifest_generate.json").read_text())
+        assert manifest["config"]["seed"] == manifest["config"]["generate"]["seed"] == used
+
 
 class TestBuild:
     def test_d0_has_12_features_plus_label(self, tmp_path, db_dir):
@@ -316,17 +335,18 @@ class TestManifests:
 
 
 # Every subcommand's flags and value types, recorded from the parser before
-# its flags were declared in one table.
+# its flags were declared in one table. ingest, build, stats and predict lost
+# --seed later: they draw no random numbers, so the flag did nothing there.
 FLAGS = {
     "generate": ["-h/--help flag", "--config str", "--seed int", "--out str", "--n-users int"],
-    "ingest": ["-h/--help flag", "--config str", "--seed int", "--out str", "--db str"],
-    "build": ["-h/--help flag", "--config str", "--seed int", "--out str", "--db str", "--variant str"],
-    "stats": ["-h/--help flag", "--config str", "--seed int", "--out str", "--db str", "--variant str"],
+    "ingest": ["-h/--help flag", "--config str", "--out str", "--db str"],
+    "build": ["-h/--help flag", "--config str", "--out str", "--db str", "--variant str"],
+    "stats": ["-h/--help flag", "--config str", "--out str", "--db str", "--variant str"],
     "cv": ["-h/--help flag", "--config str", "--seed int", "--out str", "--dataset str", "--model str",
            "--resampler str", "--k int", "--jobs int"],
     "train": ["-h/--help flag", "--config str", "--seed int", "--out str", "--dataset str", "--model str",
               "--resampler str", "--no-preprocess flag"],
-    "predict": ["-h/--help flag", "--config str", "--seed int", "--out str", "--model-file str", "--dataset str"],
+    "predict": ["-h/--help flag", "--config str", "--out str", "--model-file str", "--dataset str"],
 }
 
 
@@ -340,6 +360,14 @@ def test_every_command_keeps_its_flags():
     assert flags == FLAGS
 
 
+@pytest.mark.parametrize("command", ["ingest", "build", "stats", "predict"])
+def test_seed_is_a_usage_error_where_nothing_is_random(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--seed", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 # Model-section fields of the wrong type, with the test id of each.
 MODEL_FIELD_CASES = [
     ({"kind": "forest", "n_trees": "3"}, "str-n_trees"),
@@ -347,6 +375,7 @@ MODEL_FIELD_CASES = [
     ({"kind": "forest", "n_trees": None}, "null-n_trees"),
     ({"kind": "knn", "k": 2.5}, "float-k"),
     ({"kind": "gbt", "learning_rate": "0.1"}, "str-learning_rate"),
+    ({"kind": "mlp", "dtype": "foo"}, "unknown-dtype"),
 ]
 
 
@@ -358,39 +387,54 @@ def edit_tree(array, edit):
 
 
 class TestMalformedInputs:
-    def trained_model(self, tmp_path):
+    def trained_model(self, tmp_path, kind):
         rng = np.random.default_rng(8)
         write_dataset_csv(make_dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, 40)), tmp_path / "ds.csv")
-        assert run("train", "--dataset", str(tmp_path / "ds.csv"), "--model", "tree",
-                   "--no-preprocess", "--out", str(tmp_path / "t")) == 0
+        small = {"model": {"hidden_layers": [2], "max_epochs": 1}} if kind == "mlp" else {}
+        (tmp_path / "train.json").write_text(json.dumps(small))
+        assert run("train", "--dataset", str(tmp_path / "ds.csv"), "--model", kind, "--config",
+                   str(tmp_path / "train.json"), "--no-preprocess", "--out", str(tmp_path / "t")) == 0
         return tmp_path / "t" / "model.json"
 
+    # A case's message names the file where it reads "{path}".
     @pytest.mark.parametrize(
-        "key, value, message",
+        "kind, key, value, message",
         [
-            ("kind", None, "missing key 'kind'"),
-            ("config", None, "missing key 'config'"),
-            ("n_features", None, "missing key 'n_features'"),
-            ("feature_names", None, "missing key 'feature_names'"),
-            ("params", None, "missing key 'params'"),
-            ("n_features", "3", "key 'n_features' has type str"),
-            ("params", [], "key 'params' has type list"),
-            ("params", {}, "bad tree params (KeyError('tree'))"),
-            ("format_version", 1, "unsupported model format version 1"),
-            ("preprocess", {}, "bad preprocess block (KeyError('column_names'))"),
-            ("preprocess", [], "bad preprocess block (TypeError("),
-            ("params", edit_tree("left", lambda a: np.r_[1000, a[1:]]), "tree child index out of order or range"),
-            ("params", edit_tree("left", lambda a: np.r_[0, a[1:]]), "tree child index out of order or range"),
-            ("params", edit_tree("feature", lambda a: np.r_[99, a[1:]]), "tree feature outside [-1, 3)"),
-            ("params", edit_tree("value", lambda a: a[:-1]), "tree arrays have the wrong lengths"),
+            ("tree", "kind", None, "{path}: missing key 'kind'"),
+            ("tree", "config", None, "{path}: missing key 'config'"),
+            ("tree", "n_features", None, "{path}: missing key 'n_features'"),
+            ("tree", "feature_names", None, "{path}: missing key 'feature_names'"),
+            ("tree", "params", None, "{path}: missing key 'params'"),
+            ("tree", "n_features", "3", "{path}: key 'n_features' has type str"),
+            ("tree", "params", [], "{path}: key 'params' has type list"),
+            ("tree", "params", {}, "{path}: bad tree params (KeyError('tree'))"),
+            ("tree", "format_version", 1, "unsupported model format version 1"),
+            ("tree", "preprocess", {}, "{path}: bad preprocess block (KeyError('column_names'))"),
+            ("tree", "preprocess", [], "{path}: bad preprocess block (TypeError("),
+            ("tree", "params", edit_tree("left", lambda a: np.r_[1000, a[1:]]),
+             "{path}: bad tree params (ValueError('tree child index out of order or range'))"),
+            ("tree", "params", edit_tree("left", lambda a: np.r_[0, a[1:]]),
+             "{path}: bad tree params (ValueError('tree child index out of order or range'))"),
+            ("tree", "params", edit_tree("feature", lambda a: np.r_[99, a[1:]]),
+             "{path}: bad tree params (ValueError('tree feature outside [-1, 3)'))"),
+            ("tree", "params", edit_tree("value", lambda a: a[:-1]),
+             "{path}: bad tree params (ValueError('tree arrays have the wrong lengths'))"),
+            ("knn", "params", lambda p: p.update(y=encode_array(decode_array(p["y"])[:-1])),
+             "{path}: bad knn params (ValueError('knn arrays must be X (n, 3) and y (n,) with n >= k=30'))"),
+            ("majority", "params", {"p1": "nan"}, "probabilities must be finite"),
+            ("mlp", "config", lambda c: c.update(dtype="foo"),
+             "{path}: bad mlp config: dtype must be 'float32' or 'float64', got 'foo'"),
+            ("mlp", "params", {"weights": [], "biases": []},
+             "{path}: bad mlp params (ValueError('mlp layer shapes must follow widths [3, 2, 2]'))"),
         ],
         ids=["no-kind", "no-config", "no-n_features", "no-feature_names", "no-params",
              "str-n_features", "list-params", "empty-params", "format-version-1",
              "empty-preprocess", "list-preprocess",
-             "child-out-of-range", "own-left-child", "feature-99", "short-value"],
+             "child-out-of-range", "own-left-child", "feature-99", "short-value",
+             "knn-short-y", "majority-nan-p1", "mlp-unknown-dtype", "mlp-no-layers"],
     )
-    def test_bad_model_file_is_one_error_line(self, tmp_path, capsys, key, value, message):
-        path = self.trained_model(tmp_path)
+    def test_bad_model_file_is_one_error_line(self, tmp_path, capsys, kind, key, value, message):
+        path = self.trained_model(tmp_path, kind)
         doc = json.loads(path.read_text())
         if value is None:
             del doc[key]
@@ -405,9 +449,7 @@ class TestMalformedInputs:
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error [predict]: ")
-        assert message in err[0]
-        if key != "format_version":
-            assert str(path) in err[0]
+        assert message.format(path=path) in err[0]
 
     @pytest.mark.parametrize(
         "content, message",

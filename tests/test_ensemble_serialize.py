@@ -184,8 +184,9 @@ class TestConfigFromDict:
             ("forest", {"max_depth": 2.0}, "'max_depth' is 2.0, expected int | None"),
             ("mlp", {"hidden_layers": [4, True]}, "'hidden_layers' is [4, True], expected tuple[int, ...]"),
             ("mlp", {"dtype": 32}, "'dtype' is 32, expected str"),
+            ("mlp", {"dtype": "foo"}, "dtype must be 'float32' or 'float64', got 'foo'"),
         ],
-        ids=["str-int", "int-bool", "float-optional-int", "bool-in-tuple", "int-str"],
+        ids=["str-int", "int-bool", "float-optional-int", "bool-in-tuple", "int-str", "unknown-dtype"],
     )
     def test_value_of_wrong_type_rejected(self, kind, values, message):
         with pytest.raises(ValueError, match=re.escape(f"bad {kind} config: {message}")):

@@ -3,14 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from adherence.resample import (
-    ResampleConfig,
-    adasyn,
-    adasyn_allocation,
-    oversample,
-    random_oversample,
-    smote,
-)
+from adherence.resample import ResampleConfig, adasyn_allocation, oversample
 
 from conftest import make_dataset, random_imbalanced
 
@@ -41,19 +34,19 @@ class TestRandomOversample:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(14, 3))
         y = np.array([0] * 10 + [1] * 4)
-        out = random_oversample(make_dataset(X, y), ResampleConfig(method="random", seed=1))
+        out = oversample(make_dataset(X, y), ResampleConfig(method="random", seed=1))
         assert counts(out) == (10, 10)
 
     def test_balanced_unchanged(self):
         ds = make_dataset(np.arange(8.0).reshape(4, 2), [0, 0, 1, 1])
-        out = random_oversample(ds, ResampleConfig(method="random", seed=1))
+        out = oversample(ds, ResampleConfig(method="random", seed=1))
         assert np.array_equal(out.X, ds.X)
         assert np.array_equal(out.y, ds.y)
 
     def test_synthetics_duplicate_minority_rows(self):
         rng = np.random.default_rng(2)
         ds = random_imbalanced(rng, 40, 4)
-        out = random_oversample(ds, ResampleConfig(method="random", seed=3))
+        out = oversample(ds, ResampleConfig(method="random", seed=3))
         originals = {row.tobytes() for row in ds.X[ds.labels() == 1]}
         for row in out.X[ds.n_rows :]:
             assert row.tobytes() in originals
@@ -61,14 +54,14 @@ class TestRandomOversample:
     def test_single_class_errors(self):
         ds = make_dataset(np.zeros((4, 2)), [1, 1, 1, 1])
         with pytest.raises(ValueError, match="both classes"):
-            random_oversample(ds, ResampleConfig(method="random"))
+            oversample(ds, ResampleConfig(method="random"))
 
 
 class TestSmote:
     def test_two_point_segment(self):
         ds = make_dataset([[0.0, 0.0], [1.0, 1.0], [5.0, 0.0], [5.0, 1.0], [6.0, 0.0], [6.0, 1.0]],
                           [1, 1, 0, 0, 0, 0])
-        out = smote(ds, ResampleConfig(method="smote", k_neighbors=1, seed=4))
+        out = oversample(ds, ResampleConfig(method="smote", k_neighbors=1, seed=4))
         synth = out.X[ds.n_rows :]
         assert synth.shape == (2, 2)
         # interpolation between (0,0) and (1,1): x == y in [0, 1]
@@ -77,30 +70,40 @@ class TestSmote:
 
     def test_identical_minority_degenerate(self):
         ds = make_dataset([[2.0, 3.0]] * 3 + [[9.0, 9.0]] * 7, [1] * 3 + [0] * 7)
-        out = smote(ds, ResampleConfig(method="smote", seed=5))
+        out = oversample(ds, ResampleConfig(method="smote", seed=5))
         assert np.array_equal(out.X[ds.n_rows :], np.tile([2.0, 3.0], (4, 1)))
 
     def test_segment_property_brute_force(self):
         rng = np.random.default_rng(6)
         ds = random_imbalanced(rng, 60, 5, pos_fraction=0.25)
         cfg = ResampleConfig(method="smote", k_neighbors=5, seed=7)
-        out = smote(ds, cfg)
+        out = oversample(ds, cfg)
         X_min = ds.X[ds.labels() == 1]
         assert_segment_property(out.X[ds.n_rows :], X_min, cfg.k_neighbors)
 
     def test_minority_too_small_errors(self):
         ds = make_dataset(np.arange(10.0).reshape(5, 2), [0, 0, 0, 0, 1])
         with pytest.raises(ValueError, match="at least 2 minority rows"):
-            smote(ds, ResampleConfig(method="smote"))
+            oversample(ds, ResampleConfig(method="smote"))
 
     def test_bounding_box(self):
         rng = np.random.default_rng(8)
         ds = random_imbalanced(rng, 80, 3, pos_fraction=0.2)
-        out = smote(ds, ResampleConfig(method="smote", seed=9))
+        out = oversample(ds, ResampleConfig(method="smote", seed=9))
         X_min = ds.X[ds.labels() == 1]
         synth = out.X[ds.n_rows :]
         assert (synth >= X_min.min(axis=0) - 1e-12).all()
         assert (synth <= X_min.max(axis=0) + 1e-12).all()
+
+
+def on_segment(s, a, b):
+    """Whether s = a + lam * (b - a) for some lam in [0, 1]."""
+    direction = b - a
+    denom = float(direction @ direction)
+    if denom == 0.0:
+        return np.allclose(s, a, atol=1e-9)
+    lam = float((s - a) @ direction) / denom
+    return -1e-9 <= lam <= 1 + 1e-9 and np.allclose(a + lam * direction, s, atol=1e-9)
 
 
 def assert_segment_property(synthetics, X_min, k):
@@ -111,27 +114,9 @@ def assert_segment_property(synthetics, X_min, k):
     np.fill_diagonal(d2, np.inf)
     k = min(k, n - 1)
     for s in synthetics:
-        found = False
-        for a_idx in range(n):
-            nn = np.argsort(d2[a_idx], kind="stable")[:k]
-            a = X_min[a_idx]
-            for b_idx in nn:
-                b = X_min[b_idx]
-                direction = b - a
-                offs = s - a
-                denom = float(direction @ direction)
-                if denom == 0.0:
-                    if np.allclose(offs, 0.0, atol=1e-9):
-                        found = True
-                        break
-                    continue
-                lam = float(offs @ direction) / denom
-                if -1e-9 <= lam <= 1 + 1e-9 and np.allclose(a + lam * direction, s, atol=1e-9):
-                    found = True
-                    break
-            if found:
-                break
-        assert found, f"synthetic {s} lies on no valid minority segment"
+        assert any(on_segment(s, X_min[a], X_min[b])
+                   for a in range(n) for b in np.argsort(d2[a], kind="stable")[:k]), \
+            f"synthetic {s} lies on no valid minority segment"
 
 
 def adasyn_oracle_allocation(X, y, k, need):
@@ -199,13 +184,32 @@ class TestAdasyn:
         alloc = adasyn_allocation(ds, cfg)
         assert alloc.sum() == 6
         assert alloc.max() - alloc.min() <= 1  # uniform split of 6 over 3
-        out = adasyn(ds, cfg)
+        out = oversample(ds, cfg)
         assert counts(out) == (9, 9)
 
     def test_minority_too_small_errors(self):
         ds = make_dataset(np.arange(10.0).reshape(5, 2), [0, 0, 0, 0, 1])
         with pytest.raises(ValueError, match="at least 2 minority rows"):
-            adasyn(ds, ResampleConfig(method="adasyn"))
+            oversample(ds, ResampleConfig(method="adasyn"))
+
+    def test_each_row_is_the_base_of_its_allocation(self):
+        # Synthetic rows come in base-row order: the first alloc[0] grow from
+        # minority row 0, and so on. Each lies on the segment from its base row
+        # to one of that row's k nearest minority neighbours.
+        rng = np.random.default_rng(16)
+        ds = random_imbalanced(rng, 70, 3, pos_fraction=0.2)
+        cfg = ResampleConfig(method="adasyn", k_neighbors=4, seed=17)
+        alloc = adasyn_allocation(ds, cfg)
+        synth = oversample(ds, cfg).X[ds.n_rows :]
+        assert synth.shape[0] == alloc.sum()
+        X_min = ds.X[ds.labels() == 1]
+        d2 = ((X_min[:, None, :] - X_min[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        ends = np.cumsum(alloc)
+        for i, (lo, hi) in enumerate(zip(ends - alloc, ends)):
+            a = X_min[i]
+            for s in synth[lo:hi]:
+                assert any(on_segment(s, a, X_min[j]) for j in np.argsort(d2[i], kind="stable")[:4]), (i, s)
 
 
 class TestCommonProperties:
@@ -253,11 +257,16 @@ class TestCommonProperties:
 
 
 # SHA-256 of oversample output (X bytes, then y as little-endian int64) on
-# _pin_dataset(), recorded before k-NN and the resamplers shared one neighbour
-# search. A change to distances, tie-breaks, self-exclusion or RNG use changes them.
+# _pin_dataset(). SMOTE's was recorded before k-NN and the resamplers shared one
+# neighbour search, random's before the three methods shared one routine. A
+# change to distances, tie-breaks, self-exclusion or RNG use changes them.
+# ADASYN's was re-recorded when it began to draw its neighbour picks and
+# interpolation fractions as two vectors, where it drew one (pick, fraction)
+# pair per synthetic row; its allocation did not change.
 PINNED = {
+    "random": "2746244e42ad30e2a96f5507c660edb805888caf50a836554daecbddc95ec080",
     "smote": "fdda235f0654d702eaf990b4f4c062e79805db379cdc1c30cd66ca50909cc2c6",
-    "adasyn": "2a53571547535346175407e6af1f1f09197be095bda141d319505c50a448653b",
+    "adasyn": "44e4bb18a6718f977a748e895fad12782d6eedbab0d8ee2932e9e4693f6f0473",
 }
 
 
