@@ -101,7 +101,7 @@ def kfold_split(n: int, k: int = 10, labels: np.ndarray | None = None, seed: int
     if n < k:
         raise ValueError(f"cannot split {n} rows into {k} folds")
     rng = substream(seed, "folds")
-    folds: list[list[int]] = [[] for _ in range(k)]
+    groups = [np.arange(n)]  # a plain split is a stratified one over a single class
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (n,):
@@ -109,28 +109,17 @@ def kfold_split(n: int, k: int = 10, labels: np.ndarray | None = None, seed: int
         classes, counts = np.unique(labels, return_counts=True)
         if counts.min() < k:
             warnings.warn(f"a class has fewer than {k} members; falling back to non-stratified folds")
-            labels = None
-    if labels is None:
-        perm = rng.permutation(n)
-        sizes = [n // k + (1 if f < n % k else 0) for f in range(k)]
-        pos = 0
-        for f, size in enumerate(sizes):
-            folds[f] = list(perm[pos : pos + size])
-            pos += size
-    else:
-        cursor = 0  # rotates so per-class remainders spread over distinct folds
-        for c in classes:
-            members = rng.permutation(np.flatnonzero(labels == c))
-            base, extra = divmod(members.size, k)
-            sizes = [base] * k
-            for j in range(extra):
-                sizes[(cursor + j) % k] += 1
-            cursor = (cursor + extra) % k
-            pos = 0
-            for f in range(k):
-                folds[f].extend(members[pos : pos + sizes[f]])
-                pos += sizes[f]
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+        else:
+            groups = [np.flatnonzero(labels == c) for c in classes]
+    fold_of = np.empty(n, dtype=np.int64)
+    cursor = 0  # rotates so per-class remainders spread over distinct folds
+    for members in groups:
+        base, extra = divmod(members.size, k)
+        sizes = np.full(k, base)
+        sizes[(cursor + np.arange(extra)) % k] += 1
+        cursor = (cursor + extra) % k
+        fold_of[rng.permutation(members)] = np.repeat(np.arange(k), sizes)
+    return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
 @dataclass

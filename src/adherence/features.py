@@ -237,6 +237,8 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
             raise ValueError(f"{path}: empty dataset file, header expected")
         labeled = bool(header) and header[-1] == LABEL_COLUMN
         columns = header[:-1] if labeled else header
+        if not columns:
+            raise ValueError(f"{path}: no feature columns in the header")
         X_rows = []
         y_rows = []
         for row in reader:

@@ -5,7 +5,6 @@ from .base import (
     MajorityModel,
     Model,
     classify,
-    check_proba,
     ensemble_predict_proba,
 )
 from .forest import ForestConfig, RandomForest, forest_importance
@@ -24,7 +23,6 @@ from .tree import DecisionTree, TreeConfig
 
 __all__ = [
     "classify",
-    "check_proba",
     "ensemble_predict_proba",
     "build_model",
     "config_from_dict",
@@ -50,14 +48,12 @@ __all__ = [
     "MODEL_TYPES",
 ]
 
-_KIND_BY_CONFIG = {cfg_type: kind for kind, cfg_type in CONFIG_TYPES.items()}
-
 
 def model_kind(cfg: object) -> str:
-    try:
-        return _KIND_BY_CONFIG[type(cfg)]
-    except KeyError:
-        raise ValueError(f"unknown model config type {type(cfg).__name__}") from None
+    for kind, model_type in MODEL_TYPES.items():
+        if type(cfg) is model_type.Config:
+            return kind
+    raise ValueError(f"unknown model config type {type(cfg).__name__}")
 
 
 def build_model(cfg: object) -> Model:

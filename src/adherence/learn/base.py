@@ -14,30 +14,33 @@ def classify(proba: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return (p1 > threshold).astype(np.int64)
 
 
-def check_proba(proba: np.ndarray) -> np.ndarray:
-    """Validate an (n, 2) probability matrix: finite entries in [0,1], rows sum to 1."""
-    proba = np.asarray(proba, dtype=np.float64)
-    if proba.ndim != 2 or proba.shape[1] != 2:
-        raise ValueError("expected an (n, 2) probability matrix")
-    if not np.isfinite(proba).all():
-        raise ValueError("probabilities must be finite")
-    if np.any(proba < -1e-9) or np.any(proba > 1 + 1e-9):
-        raise ValueError("probabilities outside [0, 1]")
-    if np.any(np.abs(proba.sum(axis=1) - 1.0) > 1e-6):
-        raise ValueError("probability rows must sum to 1")
-    return proba
+def _features(X: np.ndarray) -> np.ndarray:
+    """X as a contiguous float64 matrix; nulls and infinities are refused."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-dimensional")
+    if np.isnan(X).any():
+        raise ValueError("X contains nulls; impute them first")
+    if np.isinf(X).any():
+        raise ValueError("X contains infinite values")
+    return X
 
 
 class Model:
     """Base class for the from-scratch classifiers.
 
-    Subclasses set ``kind``, implement ``_fit`` and ``_predict_proba``, and get
-    input validation, thresholded prediction and feature-name bookkeeping here.
+    A subclass sets ``kind`` and ``Config`` (a frozen dataclass that checks its
+    own ranges), declares its fitted attributes as class annotations, and
+    implements ``_fit`` and ``_p1``, the p(high) vector of its rows. Input
+    validation, the (n, 2) probability matrix, thresholded prediction and
+    feature-name bookkeeping live here.
     """
 
     kind = "?"
+    Config: type
 
-    def __init__(self) -> None:
+    def __init__(self, cfg=None) -> None:
+        self.cfg = self.Config() if cfg is None else cfg
         self.feature_names: list[str] | None = None
         self.n_features_: int | None = None
 
@@ -46,18 +49,14 @@ class Model:
         return self.n_features_ is not None
 
     def fit(self, X: np.ndarray, y: np.ndarray, feature_names: list[str] | None = None) -> "Model":
-        X = np.ascontiguousarray(X, dtype=np.float64)
+        X = _features(X)
         y = np.asarray(y, dtype=np.int64)
-        if X.ndim != 2:
-            raise ValueError("X must be 2-dimensional")
+        if X.shape[1] == 0:
+            raise ValueError("X has no feature columns")
         if y.shape != (X.shape[0],):
             raise ValueError("y must align with the rows of X")
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be binary {0, 1}")
-        if np.isnan(X).any():
-            raise ValueError("X contains nulls; impute before fitting")
-        if np.isinf(X).any():
-            raise ValueError("X contains infinite values")
         if feature_names is not None and len(feature_names) != X.shape[1]:
             raise ValueError("feature_names length must match X width")
         self.feature_names = list(feature_names) if feature_names is not None else None
@@ -66,8 +65,13 @@ class Model:
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = self._check_input(X)
-        return check_proba(self._predict_proba(X))
+        """(n, 2) matrix of [p(low), p(high)] per row."""
+        p1 = np.asarray(self._p1(self._check_input(X)), dtype=np.float64)
+        if not np.isfinite(p1).all():
+            raise ValueError("probabilities must be finite")
+        if np.any(p1 < -1e-9) or np.any(p1 > 1 + 1e-9):
+            raise ValueError("probabilities outside [0, 1]")
+        return np.column_stack([1.0 - p1, p1])
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return classify(self.predict_proba(X))
@@ -75,15 +79,15 @@ class Model:
     def _check_input(self, X: np.ndarray) -> np.ndarray:
         if not self.is_fitted:
             raise ValueError(f"{self.kind} model is not fitted")
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
+        X = _features(X)
+        if X.shape[1] != self.n_features_:
             raise ValueError(f"expected {self.n_features_} feature column(s)")
         return X
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def _p1(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -96,17 +100,14 @@ class MajorityModel(Model):
     """Baseline stub: every row gets the training class prior as probability."""
 
     kind = "majority"
-
-    def __init__(self, cfg: MajorityConfig = MajorityConfig()):
-        super().__init__()
-        self.cfg = cfg
-        self.p1_: float | None = None
+    Config = MajorityConfig
+    p1_: float
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self.p1_ = float(y.mean())
 
-    def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return np.tile([1.0 - self.p1_, self.p1_], (X.shape[0], 1))
+    def _p1(self, X: np.ndarray) -> np.ndarray:
+        return np.full(X.shape[0], self.p1_)
 
 
 def ensemble_predict_proba(models: list[Model], X: np.ndarray) -> np.ndarray:

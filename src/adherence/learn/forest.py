@@ -10,7 +10,7 @@ import numpy as np
 from .. import rng as rngmod
 from . import _split
 from .base import Model
-from .tree import TreeConfig, grow_tree
+from .tree import TreeConfig, _Tree, grow_tree
 
 
 @dataclass(frozen=True)
@@ -22,28 +22,28 @@ class ForestConfig:
     bootstrap: bool = True
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise ValueError("features_per_split must be >= 1")
+
 
 class RandomForest(Model):
     kind = "forest"
-
-    def __init__(self, cfg: ForestConfig = ForestConfig()):
-        super().__init__()
-        if cfg.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        self.cfg = cfg
-        self.trees_: list = []
+    Config = ForestConfig
+    trees_: list[_Tree]
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n, d = X.shape
         if n < 2:
             raise ValueError("forest fitting needs at least 2 rows")
-        m = self.cfg.features_per_split
-        if m is None:
-            m = max(1, round(math.sqrt(d)))
         tree_cfg = TreeConfig(
             max_depth=self.cfg.max_depth,
             min_samples_split=self.cfg.min_samples_split,
-            max_features=min(m, d),
+            max_features=self.cfg.features_per_split or round(math.sqrt(d)),
         )
         codes = _split.column_codes(X)
         self.trees_ = []
@@ -52,12 +52,11 @@ class RandomForest(Model):
             idx = rng.integers(0, n, size=n) if self.cfg.bootstrap else np.arange(n)
             self.trees_.append(grow_tree(X, y, idx, tree_cfg, rng, codes))
 
-    def _predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def _p1(self, X: np.ndarray) -> np.ndarray:
         p1 = np.zeros(X.shape[0])
         for tree in self.trees_:
             p1 += tree.predict(X)
-        p1 /= len(self.trees_)
-        return np.column_stack([1.0 - p1, p1])
+        return p1 / len(self.trees_)
 
     def feature_importances(self) -> np.ndarray:
         """Mean decrease in Gini impurity per feature, normalized to sum 1."""

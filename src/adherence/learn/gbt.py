@@ -30,6 +30,10 @@ class GbtConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
         if self.l2_lambda < 0:
             raise ValueError("l2_lambda must be >= 0")
         if self.min_child_weight < 0:
@@ -84,12 +88,9 @@ def _logistic_loss(F: np.ndarray, y: np.ndarray) -> float:
 
 class GradientBoostedTrees(Model):
     kind = "gbt"
-
-    def __init__(self, cfg: GbtConfig = GbtConfig()):
-        super().__init__()
-        self.cfg = cfg
-        self.trees_: list[_Tree] = []
-        self.train_losses_: list[float] = []  # loss before round 1, then per round
+    Config = GbtConfig
+    trees_: list[_Tree]
+    train_losses_: list[float]  # loss before round 1, then per round
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if np.unique(y).size < 2:
@@ -108,9 +109,8 @@ class GradientBoostedTrees(Model):
             F += self.cfg.learning_rate * tree.predict(X)
             self.train_losses_.append(_logistic_loss(F, y_f))
 
-    def _predict_proba(self, X: np.ndarray) -> np.ndarray:
+    def _p1(self, X: np.ndarray) -> np.ndarray:
         F = np.zeros(X.shape[0])
         for tree in self.trees_:
             F += self.cfg.learning_rate * tree.predict(X)
-        p1 = _sigmoid(F)
-        return np.column_stack([1.0 - p1, p1])
+        return _sigmoid(F)

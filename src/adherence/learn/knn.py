@@ -15,11 +15,11 @@ def nearest(queries: np.ndarray, pool: np.ndarray, k: int, exclude: np.ndarray |
     Differences are computed directly (not the expanded dot-product form) so
     equal points give exactly equal distances; stable argsort then breaks
     remaining ties by pool-row index. ``exclude[i]``, when given, is a pool row
-    that query i may not pick (its own row in a self-search). Chunked to bound
-    the (chunk, n_pool, d) broadcast.
+    that query i may not pick (its own row in a self-search). Chunked over the
+    queries only, so each (chunk, n_pool, d) broadcast holds about 2 MB.
     """
     out = np.empty((queries.shape[0], k), dtype=np.int64)
-    chunk = max(1, int(4_000_000 / max(1, pool.shape[0] * pool.shape[1])))
+    chunk = max(1, int(250_000 / max(1, pool.shape[0] * pool.shape[1])))
     for lo in range(0, queries.shape[0], chunk):
         hi = min(lo + chunk, queries.shape[0])
         diff = queries[lo:hi, None, :] - pool[None, :, :]
@@ -34,17 +34,16 @@ def nearest(queries: np.ndarray, pool: np.ndarray, k: int, exclude: np.ndarray |
 class KnnConfig:
     k: int = 30
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+
 
 class KnnClassifier(Model):
     kind = "knn"
-
-    def __init__(self, cfg: KnnConfig = KnnConfig()):
-        super().__init__()
-        if cfg.k < 1:
-            raise ValueError("k must be >= 1")
-        self.cfg = cfg
-        self.X_: np.ndarray | None = None
-        self.y_: np.ndarray | None = None
+    Config = KnnConfig
+    X_: np.ndarray
+    y_: np.ndarray
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if self.cfg.k > X.shape[0]:
@@ -52,6 +51,5 @@ class KnnClassifier(Model):
         self.X_ = X.copy()
         self.y_ = y.copy()
 
-    def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p1 = self.y_[nearest(X, self.X_, self.cfg.k)].mean(axis=1)
-        return np.column_stack([1.0 - p1, p1])
+    def _p1(self, X: np.ndarray) -> np.ndarray:
+        return self.y_[nearest(X, self.X_, self.cfg.k)].mean(axis=1)

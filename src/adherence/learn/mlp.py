@@ -35,6 +35,8 @@ class MlpConfig:
             raise ValueError("hidden layer sizes must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be > 0")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in [0, 1)")
         if self.dtype not in ("float32", "float64"):
@@ -49,42 +51,36 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 class MlpClassifier(Model):
     kind = "mlp"
-
-    def __init__(self, cfg: MlpConfig = MlpConfig()):
-        super().__init__()
-        self.cfg = cfg
-        self.weights_: list[np.ndarray] = []
-        self.biases_: list[np.ndarray] = []
-        self.best_epoch_: int | None = None
+    Config = MlpConfig
+    weights_: list[np.ndarray]
+    biases_: list[np.ndarray]
+    best_epoch_: int | None  # None when early stopping is off
 
     # ----- forward / backward -------------------------------------------------
 
     def _forward(self, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Hidden activations (inputs first) and output probabilities."""
-        acts = [X]
-        a = X
-        last = len(self.weights_) - 1
-        for i, (W, b) in enumerate(zip(self.weights_, self.biases_)):
-            z = a @ W + b
-            if i < last:
-                a = np.maximum(z, 0.0)
-                acts.append(a)
-            else:
-                return acts, _softmax(z)
-        raise AssertionError("unreachable")
+        """Hidden activations (inputs first, in the config's dtype) and output probabilities."""
+        a = np.ascontiguousarray(X, dtype=np.dtype(self.cfg.dtype))
+        acts = [a]
+        for W, b in zip(self.weights_[:-1], self.biases_[:-1]):
+            a = np.maximum(a @ W + b, 0.0)
+            acts.append(a)
+        return acts, _softmax(a @ self.weights_[-1] + self.biases_[-1])
+
+    @staticmethod
+    def _loss(proba: np.ndarray, y: np.ndarray) -> float:
+        """Mean cross-entropy of the true classes."""
+        eps = np.finfo(proba.dtype).tiny
+        return float(-np.mean(np.log(proba[np.arange(y.size), y] + eps)))
 
     def loss_and_gradients(self, X: np.ndarray, y: np.ndarray) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
         """Cross-entropy loss and its gradients w.r.t. every weight and bias."""
-        dt = np.dtype(self.cfg.dtype)
-        X = np.ascontiguousarray(X, dtype=dt)
         y = np.asarray(y, dtype=np.int64)
         acts, proba = self._forward(X)
-        n = X.shape[0]
-        eps = np.finfo(dt).tiny
-        loss = float(-np.mean(np.log(proba[np.arange(n), y] + eps)))
-        delta = proba.copy()
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
+        loss = self._loss(proba, y)
+        delta = proba  # turned in place into the gradient of the loss w.r.t. the logits
+        delta[np.arange(y.size), y] -= 1.0
+        delta /= y.size
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights_)
         for i in range(len(self.weights_) - 1, -1, -1):
             grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
@@ -94,23 +90,15 @@ class MlpClassifier(Model):
 
     # ----- training -----------------------------------------------------------
 
-    def _init_params(self, d: int, rng: np.random.Generator) -> None:
-        dt = np.dtype(self.cfg.dtype)
-        sizes = [d, *self.cfg.hidden_layers, 2]
-        self.weights_ = []
-        self.biases_ = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights_.append((rng.normal(0.0, scale, size=(fan_in, fan_out))).astype(dt))
-            self.biases_.append(np.zeros(fan_out, dtype=dt))
-
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         cfg = self.cfg
         dt = np.dtype(cfg.dtype)
         X = np.ascontiguousarray(X, dtype=dt)
         n = X.shape[0]
         rng = rngmod.substream(cfg.seed, "mlp")
-        self._init_params(X.shape[1], rng)
+        sizes = [X.shape[1], *cfg.hidden_layers, 2]  # He initialization, zero biases
+        self.weights_ = [rng.normal(0.0, np.sqrt(2.0 / a), size=(a, b)).astype(dt) for a, b in zip(sizes, sizes[1:])]
+        self.biases_ = [np.zeros(b, dtype=dt) for b in sizes[1:]]
 
         n_val = int(round(cfg.val_fraction * n))
         early = cfg.val_fraction > 0 and n_val >= 1 and n - n_val >= 2
@@ -121,8 +109,10 @@ class MlpClassifier(Model):
             tr_idx = np.arange(n)
         X_tr, y_tr = X[tr_idx], y[tr_idx]
 
-        m_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(self.weights_, self.biases_)]
-        v_state = [(np.zeros_like(W), np.zeros_like(b)) for W, b in zip(self.weights_, self.biases_)]
+        # The same arrays as in weights_ and biases_, so Adam's updates land there.
+        params = [p for layer in zip(self.weights_, self.biases_) for p in layer]
+        m_state = [np.zeros_like(p) for p in params]
+        v_state = [np.zeros_like(p) for p in params]
         t = 0
         best_loss = np.inf
         best_params = None
@@ -139,17 +129,12 @@ class MlpClassifier(Model):
                 t += 1
                 bc1 = 1.0 - cfg.beta1**t
                 bc2 = 1.0 - cfg.beta2**t
-                for i, (gW, gb) in enumerate(grads):
-                    mW, mb = m_state[i]
-                    vW, vb = v_state[i]
-                    mW += (1 - cfg.beta1) * (gW - mW)
-                    mb += (1 - cfg.beta1) * (gb - mb)
-                    vW += (1 - cfg.beta2) * (gW * gW - vW)
-                    vb += (1 - cfg.beta2) * (gb * gb - vb)
-                    self.weights_[i] -= cfg.learning_rate * (mW / bc1) / (np.sqrt(vW / bc2) + cfg.adam_eps)
-                    self.biases_[i] -= cfg.learning_rate * (mb / bc1) / (np.sqrt(vb / bc2) + cfg.adam_eps)
+                for p, g, m, v in zip(params, (g for layer in grads for g in layer), m_state, v_state):
+                    m += (1 - cfg.beta1) * (g - m)
+                    v += (1 - cfg.beta2) * (g * g - v)
+                    p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
             if early:
-                val_loss, _ = self._eval_loss(X[val_idx], y[val_idx])
+                val_loss = self._loss(self._forward(X[val_idx])[1], y[val_idx])
                 if val_loss < best_loss:
                     best_loss = val_loss
                     best_params = ([W.copy() for W in self.weights_], [b.copy() for b in self.biases_])
@@ -162,11 +147,5 @@ class MlpClassifier(Model):
         if early and best_params is not None:
             self.weights_, self.biases_ = best_params
 
-    def _eval_loss(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        _, proba = self._forward(np.ascontiguousarray(X, dtype=np.dtype(self.cfg.dtype)))
-        eps = np.finfo(proba.dtype).tiny
-        return float(-np.mean(np.log(proba[np.arange(X.shape[0]), y] + eps))), proba
-
-    def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        _, proba = self._forward(np.ascontiguousarray(X, dtype=np.dtype(self.cfg.dtype)))
-        return proba.astype(np.float64)
+    def _p1(self, X: np.ndarray) -> np.ndarray:
+        return self._forward(X)[1][:, 1]

@@ -19,33 +19,20 @@ import numpy as np
 
 from ..artifact import write_json
 from ..features import PreprocessState
-from .base import MajorityConfig, MajorityModel, Model
-from .forest import ForestConfig, RandomForest
-from .gbt import GbtConfig, GradientBoostedTrees
-from .knn import KnnConfig, KnnClassifier
-from .mlp import MlpConfig, MlpClassifier
-from .tree import DecisionTree, TreeConfig, _Tree
+from .base import MajorityModel, Model
+from .forest import RandomForest
+from .gbt import GradientBoostedTrees
+from .knn import KnnClassifier
+from .mlp import MlpClassifier
+from .tree import DecisionTree, _Tree
 
 MODEL_FORMAT = "adherence-model"
 FORMAT_VERSION = 2
 
-CONFIG_TYPES = {
-    "knn": KnnConfig,
-    "tree": TreeConfig,
-    "forest": ForestConfig,
-    "gbt": GbtConfig,
-    "mlp": MlpConfig,
-    "majority": MajorityConfig,
-}
-
-MODEL_TYPES = {
-    "knn": KnnClassifier,
-    "tree": DecisionTree,
-    "forest": RandomForest,
-    "gbt": GradientBoostedTrees,
-    "mlp": MlpClassifier,
-    "majority": MajorityModel,
-}
+# The one kind table: a model file's and a config section's kind name the model class.
+MODEL_TYPES = {m.kind: m for m in (KnnClassifier, DecisionTree, RandomForest, GradientBoostedTrees, MlpClassifier,
+                                   MajorityModel)}
+CONFIG_TYPES = {kind: m.Config for kind, m in MODEL_TYPES.items()}
 
 # Top-level keys of a model document and their JSON types.
 _DOC_FIELDS = {

@@ -19,6 +19,12 @@ class TreeConfig:
     max_features: int | None = None  # per-split feature subsample; None = all
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
+        if self.max_features is not None and self.max_features < 1:
+            raise ValueError("max_features must be >= 1")
+
 
 class _Tree:
     """Flat node arrays: feature < 0 marks leaves.
@@ -123,8 +129,7 @@ def grow_tree(
     the lowest impurity; rng samples max_features features per split.
     """
     n_features = X.shape[1]
-    m = cfg.max_features if cfg.max_features is not None else n_features
-    m = max(1, min(m, n_features))
+    m = min(cfg.max_features or n_features, n_features)
     all_feats = np.arange(n_features)
     stats = [y.astype(np.float64)]
     # Spurious zero-gain splits from float rounding must not be accepted.
@@ -167,20 +172,16 @@ class DecisionTree(Model):
     """Single CART tree; leaves hold class-probability estimates."""
 
     kind = "tree"
-
-    def __init__(self, cfg: TreeConfig = TreeConfig()):
-        super().__init__()
-        self.cfg = cfg
-        self.tree_: _Tree | None = None
+    Config = TreeConfig
+    tree_: _Tree
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         codes = _split.column_codes(X)
         rng = rngmod.substream(self.cfg.seed, "tree")
         self.tree_ = grow_tree(X, y, np.arange(X.shape[0]), self.cfg, rng, codes)
 
-    def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p1 = self.tree_.predict(X)
-        return np.column_stack([1.0 - p1, p1])
+    def _p1(self, X: np.ndarray) -> np.ndarray:
+        return self.tree_.predict(X)
 
     @property
     def n_nodes(self) -> int:

@@ -69,9 +69,6 @@ def oversample(ds: TabularDataset, cfg: ResampleConfig) -> TabularDataset:
         base = np.repeat(np.arange(min_idx.size), adasyn_allocation(ds, cfg))
     else:
         base = rng.integers(0, min_idx.size, size=need)
-    # Each neighbour search runs before the rows gathered after it: with X_min
-    # gathered before ADASYN's hardness search, or the base rows before the
-    # neighbour search, a desk run's peak RSS rose from 118 to 147 MiB.
     X_min = ds.X[min_idx]
     if cfg.method == "random":
         X_new = X_min[base]

@@ -378,6 +378,19 @@ MODEL_FIELD_CASES = [
     ({"kind": "mlp", "dtype": "foo"}, "unknown-dtype"),
 ]
 
+# (kind, field, value, message): a value of the right type outside its field's range.
+MODEL_RANGE_CASES = [
+    ("knn", "k", 0, "k must be >= 1"),
+    ("forest", "n_trees", 0, "n_trees must be >= 1"),
+    ("forest", "features_per_split", 0, "features_per_split must be >= 1"),
+    ("forest", "max_depth", -1, "max_depth must be >= 0"),
+    ("tree", "max_features", 0, "max_features must be >= 1"),
+    ("tree", "max_depth", -1, "max_depth must be >= 0"),
+    ("gbt", "max_depth", -1, "max_depth must be >= 0"),
+    ("gbt", "learning_rate", 0.0, "learning_rate must be > 0"),
+    ("mlp", "learning_rate", -0.1, "learning_rate must be > 0"),
+]
+
 
 def edit_tree(array, edit):
     """A params edit: decode the tree's node array, change it with edit and encode it back."""
@@ -459,8 +472,9 @@ class TestMalformedInputs:
             ("f0,f1,A\n1,2,0\n3,4,0.7\n", "line 3: label '0.7' is not 0 or 1"),
             ("f0,f1,A\n1,2,2\n3,4,1\n", "line 2: label '2' is not 0 or 1"),
             ("f0,f1,A\n1,2,0\n3,4,-1\n", "line 3: label '-1' is not 0 or 1"),
+            ("A\n0\n1\n0\n1\n", "no feature columns in the header"),
         ],
-        ids=["empty-file", "non-numeric-cell", "fractional-label", "label-2", "label-minus-1"],
+        ids=["empty-file", "non-numeric-cell", "fractional-label", "label-2", "label-minus-1", "labels-only"],
     )
     def test_bad_dataset_file_is_one_error_line(self, tmp_path, capsys, content, message):
         path = tmp_path / "ds.csv"
@@ -471,6 +485,41 @@ class TestMalformedInputs:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error [cv]: ")
         assert f"{path}: {message}" in err[0]
+
+    @pytest.mark.parametrize("kind", ["forest", "knn", "gbt", "majority", "tree", "mlp"])
+    def test_null_cell_at_predict_without_preprocessing(self, tmp_path, capsys, kind):
+        model = self.trained_model(tmp_path, kind)  # trained with --no-preprocess
+        lines = (tmp_path / "ds.csv").read_text().splitlines()
+        lines[5] = "," + lines[5].split(",", 1)[1]  # empty first cell of row 5
+        (tmp_path / "holes.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run("predict", "--model-file", str(model), "--dataset", str(tmp_path / "holes.csv"),
+                   "--out", str(tmp_path / "p"))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.strip().splitlines() == ["error [predict]: X contains nulls; impute them first"]
+        assert not (tmp_path / "p" / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("command", ["cv", "train", "predict"])
+    @pytest.mark.parametrize("kind, field, value, message", MODEL_RANGE_CASES,
+                             ids=[f"{kind}-{field}" for kind, field, *_ in MODEL_RANGE_CASES])
+    def test_config_value_out_of_range(self, tmp_path, capsys, command, kind, field, value, message):
+        """A usage error from cv and train; from predict, a model file that carries the value is malformed."""
+        model = self.trained_model(tmp_path, kind)
+        if command == "predict":
+            doc = json.loads(model.read_text())
+            doc["config"][field] = value
+            model.write_text(json.dumps(doc))
+            argv, expected = ["--model-file", str(model)], (1, f"error [predict]: malformed model file {model}: ")
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"model": {"kind": kind, field: value}}))
+            argv, expected = ["--model", kind, "--config", str(tmp_path / "cfg.json")], (2, "error: ")
+        capsys.readouterr()
+        code = run(command, *argv, "--dataset", str(tmp_path / "ds.csv"), "--out", str(tmp_path / "o"))
+        captured = capsys.readouterr()
+        assert code == expected[0]
+        assert captured.err.strip().splitlines() == [f"{expected[1]}bad {kind} config: {message}"]
+        assert "Traceback" not in captured.out + captured.err
 
     def test_wrong_width_dataset_row(self, tmp_path, capsys):
         rng = np.random.default_rng(9)

@@ -11,6 +11,7 @@ from adherence.learn import (
     GradientBoostedTrees,
     KnnClassifier,
     KnnConfig,
+    MODEL_TYPES,
     MajorityConfig,
     MajorityModel,
     MlpClassifier,
@@ -34,17 +35,11 @@ class TestClassify:
         assert classify(proba).tolist() == [1, 0, 0]
 
 
-class FixedProba:
-    """Stub model answering a constant probability."""
-
-    def __init__(self, p1, n_features=2, names=None):
-        self.p1 = p1
-        self.n_features_ = n_features
-        self.feature_names = names
-
-    def predict_proba(self, X):
-        X = np.asarray(X)
-        return np.tile([1 - self.p1, self.p1], (X.shape[0], 1))
+def FixedProba(p1, n_features=2, names=None):
+    """Stub model answering a constant probability: a majority model with a set prior."""
+    model = MajorityModel()
+    model.p1_, model.n_features_, model.feature_names = p1, n_features, names
+    return model
 
 
 class TestEnsemble:
@@ -200,3 +195,8 @@ class TestFitInput:
         X[2, 1] = bad
         with pytest.raises(ValueError, match=message):
             DecisionTree().fit(X, np.array([0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_TYPES))
+    def test_no_feature_columns_rejected(self, kind):
+        with pytest.raises(ValueError, match="no feature columns"):
+            MODEL_TYPES[kind]().fit(np.zeros((4, 0)), np.array([0, 1, 0, 1]))

@@ -13,7 +13,7 @@ from adherence.evaluate import (
     metrics_from_counts,
     write_report,
 )
-from adherence.learn import ForestConfig, MajorityConfig
+from adherence.learn import ForestConfig, KnnConfig, MajorityConfig
 from adherence.resample import ResampleConfig
 
 from conftest import make_dataset, random_imbalanced
@@ -183,7 +183,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(78)
         ds = random_imbalanced(rng, 60, 2)
         with pytest.raises(RuntimeError, match="fold 0"):
-            cross_validate(ds, ForestConfig(n_trees=0), k=5, seed=6)
+            cross_validate(ds, KnnConfig(k=10_000), k=5, seed=6)  # k exceeds the training rows
 
     def test_resampling_inside_folds_only(self):
         # fold training rows get balanced; the validation confusion counts must
