@@ -8,9 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import rng as rngmod
-from . import _split
 from .base import Model
-from .tree import TreeConfig, _Tree, grow_tree
+from .tree import Bins, TreeConfig, _Tree, grow_gini
+
+# Bootstrap draws (n per tree) grown together, at most; a tree of more rows grows
+# alone. A batch shares each depth's histograms, and the per-sample arrays of a
+# fit stay bounded at any n_trees.
+_SAMPLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -45,12 +49,15 @@ class RandomForest(Model):
             min_samples_split=self.cfg.min_samples_split,
             max_features=self.cfg.features_per_split or round(math.sqrt(d)),
         )
-        codes = _split.column_codes(X)
+        bins = Bins(X)
+        per_batch = max(1, _SAMPLES // n)
         self.trees_ = []
-        for t in range(self.cfg.n_trees):
-            rng = rngmod.substream(self.cfg.seed, "forest-tree", t)
-            idx = rng.integers(0, n, size=n) if self.cfg.bootstrap else np.arange(n)
-            self.trees_.append(grow_tree(X, y, idx, tree_cfg, rng, codes))
+        for first in range(0, self.cfg.n_trees, per_batch):
+            last = min(first + per_batch, self.cfg.n_trees)
+            rngs = [rngmod.substream(self.cfg.seed, "forest-tree", t) for t in range(first, last)]
+            weights = np.array([np.bincount(rng.integers(0, n, size=n), minlength=n) if self.cfg.bootstrap
+                                else np.ones(n, dtype=np.int64) for rng in rngs])
+            self.trees_ += grow_gini(X, bins, y, weights, tree_cfg, rngs)
 
     def _p1(self, X: np.ndarray) -> np.ndarray:
         p1 = np.zeros(X.shape[0])

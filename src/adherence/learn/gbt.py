@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _split
 from .base import Model
-from .tree import _Tree, best_split, grow
-
-_GAIN_EPS = 1e-12
+from .tree import Bins, _Tree, grow
 
 
 @dataclass(frozen=True)
@@ -42,34 +39,39 @@ class GbtConfig:
             raise ValueError("n_rounds must be >= 1")
 
 
-def _leaf_weight(G: float, H: float, l2: float) -> float:
-    denom = H + l2
-    return 0.0 if denom <= 0 else -G / denom
+@dataclass(frozen=True)
+class _SecondOrder:
+    """Boosting: stats are (count, g, h); a split's gain is its score alone."""
 
+    cfg: GbtConfig
+    eps: float = 1e-12  # "positive" gain: above float rounding of a zero gain
 
-def _round_tree(X, g, h, cfg, codes) -> _Tree:
-    """One round's regression tree: second-order gain and leaf weights."""
-    l2 = cfg.l2_lambda
-    feats = np.arange(X.shape[1])
+    def totals(self, node, stats, n):  # each node's sums, added pairwise over its samples as np.sum adds
+        ends = np.searchsorted(node, np.arange(1, n))
+        return [np.array([part.sum() for part in np.split(s, ends)]) for s in stats]
 
-    def find_split(rows, depth, totals):
-        if depth >= cfg.max_depth or rows.size < 2:
-            return None
-        G, H = totals
-        parent_score = G * G / (H + l2) if H + l2 > 0 else 0.0
+    def splittable(self, tot, depth):
+        return (tot[0] >= 2) & (depth < self.cfg.max_depth)
 
-        def gain(n_left, sums):
-            GL, HL = sums
-            GR = G - GL
-            HR = H - HL
-            valid = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight) & (HL + l2 > 0) & (HR + l2 > 0)
-            out = np.full(GL.size, -np.inf)
-            out[valid] = 0.5 * (GL[valid] ** 2 / (HL[valid] + l2) + GR[valid] ** 2 / (HR[valid] + l2) - parent_score)
-            return out
+    def base(self, tot):
+        return 0.0
 
-        return best_split(X, rows, feats, codes, [g, h], gain, 0.0, _GAIN_EPS)
+    def score(self, left, tot):
+        _, GL, HL = left
+        _, G, H = tot
+        l2 = self.cfg.l2_lambda
+        mcw = self.cfg.min_child_weight
+        GR = G - GL
+        HR = H - HL
+        valid = (HL >= mcw) & (HR >= mcw) & (HL + l2 > 0) & (HR + l2 > 0)
+        G, H, GL, HL, GR, HR = (a[valid] for a in (G, H, GL, HL, GR, HR))
+        out = np.full(valid.size, -np.inf)
+        out[valid] = 0.5 * (GL**2 / (HL + l2) + GR**2 / (HR + l2) - G * G / (H + l2))  # H > 0 where valid
+        return out
 
-    return grow(X, np.arange(X.shape[0]), [g, h], find_split, lambda n, totals: _leaf_weight(*totals, l2))
+    def value(self, tot):
+        denom = tot[2] + self.cfg.l2_lambda
+        return np.divide(-tot[1], denom, out=np.zeros_like(denom), where=denom > 0)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -95,16 +97,18 @@ class GradientBoostedTrees(Model):
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if np.unique(y).size < 2:
             raise ValueError("boosting requires both classes in the training data")
-        codes = _split.column_codes(X)
+        n = X.shape[0]
+        bins = Bins(X)
+        rule = _SecondOrder(self.cfg)
+        rows = np.arange(n)
+        root = np.zeros(n, dtype=np.int64)
         y_f = y.astype(np.float64)
-        F = np.zeros(X.shape[0])
+        F = np.zeros(n)
         self.trees_ = []
         self.train_losses_ = [_logistic_loss(F, y_f)]
         for _ in range(self.cfg.n_rounds):
-            p = _sigmoid(F)
-            g = p - y_f
-            h = p * (1.0 - p)
-            tree = _round_tree(X, g, h, self.cfg, codes)
+            p = _sigmoid(F)  # the loss's gradient is p - y, its hessian p (1 - p)
+            (tree,) = grow(X, bins, rows, root, [np.ones(n), p - y_f, p * (1.0 - p)], 1, rule)
             self.trees_.append(tree)
             F += self.cfg.learning_rate * tree.predict(X)
             self.train_losses_.append(_logistic_loss(F, y_f))

@@ -33,12 +33,15 @@ class MlpConfig:
     def __post_init__(self) -> None:
         if any(s < 1 for s in self.hidden_layers):
             raise ValueError("hidden layer sizes must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in [0, 1)")
+        for name, low in (("batch_size", 1), ("max_epochs", 0), ("patience", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        for name in ("learning_rate", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("beta1", "beta2", "val_fraction"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
 

@@ -1,5 +1,12 @@
-"""Binary decision trees: one node type, grower and split search for CART,
-the random forest and gradient-boosted trees, plus the greedy Gini CART."""
+"""Binary decision trees: one node type and one level-wise grower for CART,
+the random forest and gradient-boosted trees, plus the greedy Gini CART.
+
+The grower splits every node of a depth at once, for several trees of a forest
+together, from weighted bincounts over (node, feature, bin) per depth and a
+cumsum over the bins: the histogram method of XGBoost (Chen & Guestrin, KDD
+2016) and LightGBM (Ke et al., NeurIPS 2017). A bin is one distinct value of a
+column, so thresholds stay exact midpoints between values present in the node.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import rng as rngmod
-from . import _split
 from .base import Model
+
+_MAX_CODE = 32  # columns of integers in [0, _MAX_CODE] are their own bin codes
+# Cells of one histogram, and (sample, feature) pairs behind it, at most: the
+# nodes of a depth are searched in chunks, and each chunk's features in blocks,
+# unless one node's samples, or one feature's bins, alone exceed it.
+_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -27,7 +39,7 @@ class TreeConfig:
 
 
 class _Tree:
-    """Flat node arrays: feature < 0 marks leaves.
+    """Flat node arrays in depth-first preorder, left child first: feature < 0 marks leaves.
 
     value is the node's output: p(1) for Gini trees, the leaf weight for
     boosted trees. importance is the split gain per feature over the root size.
@@ -58,114 +70,224 @@ class _Tree:
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
 
 
-def best_split(X, rows, feats, codes, stats, score, base, eps):
-    """Best (gain, feature, threshold) over the candidates of feats, or None.
+class Bins:
+    """X encoded once per fit: codes[j, i] is row i's bin in column j, values[j, b] the value of bin b.
 
-    score(n_left, left_sums) rates one feature's candidates; the highest wins,
-    ties going to the lowest feature, then the lowest threshold. The winner is
-    kept only if its gain, base + score, exceeds eps.
+    Columns of small non-negative integers keep their values as codes, with no
+    sort; other columns get the rank of each value among its distinct values.
     """
-    node_stats = [s[rows] for s in stats]
-    best = None  # (score, feature, threshold)
-    for f in feats:
-        col_codes = codes[f]
-        res = _split.scan(X[rows, f], node_stats, col_codes[rows] if col_codes is not None else None)
-        if res is None:
-            continue
-        thresholds, n_left, sums = res
-        s = score(n_left, sums)
-        pos = int(np.argmax(s))
-        if base + s[pos] > eps and (best is None or s[pos] > best[0]):
-            best = (s[pos], int(f), float(thresholds[pos]))
-    return None if best is None else (float(base + best[0]), best[1], best[2])
+
+    def __init__(self, X: np.ndarray) -> None:
+        n, d = X.shape
+        # column by column, so that a run of columns is one slice, in the narrowest type that holds every code
+        self.codes = np.empty((d, n), dtype=np.min_scalar_type(max(_MAX_CODE, n - 1)))
+        distinct = []
+        for j, col in enumerate(X.T):
+            if 0 <= col.min() and col.max() <= _MAX_CODE and np.array_equal(col, col.astype(np.uint8)):
+                self.codes[j] = col
+                distinct.append(np.arange(col.max() + 1))  # an own code is its value
+            else:
+                values, self.codes[j] = np.unique(col, return_inverse=True)
+                distinct.append(values)
+        self.values = np.zeros((d, max(v.size for v in distinct)))
+        for j, values in enumerate(distinct):
+            self.values[j, : values.size] = values
 
 
-def grow(X, idx, stats, find_split, value) -> _Tree:
-    """Grow one tree depth-first over the rows in idx (repeats allowed, e.g. bootstrap).
+def histograms(bins: Bins, rows, node, stats, feats):
+    """Per (node, slot, cell): whether the cell's bin is present, each stat's prefix sum over the cells, and the bin.
 
-    A node's totals are the sums of the per-row stats over its rows.
-    find_split(rows, depth, totals) gives the node's (gain, feature, threshold),
-    or None to make it a leaf; value(n_rows, totals) gives its output.
+    Sample i is row rows[i] in node node[i] < len(feats); slot s of node k is
+    feature feats[k, s]. The cells are the bins or, where the nodes hold far fewer
+    samples than bins, each slot's present bins and then empty cells.
     """
-    n_root = idx.size
-    feature, threshold, left, right, values = [], [], [], [], []
-    importance = np.zeros(X.shape[1])
-    stack = [(idx, 0, -1, False)]  # rows, depth, parent node, is_right_child
-    while stack:
-        rows, depth, parent, is_right = stack.pop()
-        node_id = len(feature)
-        if parent >= 0:
-            (right if is_right else left)[parent] = node_id
-        totals = [float(s[rows].sum()) for s in stats]
-        split = find_split(rows, depth, totals)
-        left.append(-1)
-        right.append(-1)
-        values.append(value(rows.size, totals))
-        if split is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            continue
-        gain, f, thr = split
-        importance[f] += gain / n_root
-        feature.append(f)
-        threshold.append(thr)
-        go_left = X[rows, f] <= thr
-        stack.append((rows[~go_left], depth + 1, node_id, True))
-        stack.append((rows[go_left], depth + 1, node_id, False))
-    return _Tree(feature, threshold, left, right, values, importance)
+    c, m = feats.shape
+    n_bins = bins.values.shape[1]
+    first, last = feats[0, 0], feats[0, -1]
+    if last - first == m - 1 and np.all(feats == feats[0]):  # one run of columns for every node
+        key = bins.codes[first : last + 1].take(rows, axis=1)
+    else:
+        key = bins.codes[feats[node].T, rows]
+    key = key + (np.arange(m) * n_bins)[:, None]  # as int64, whatever the type of the codes
+    key += node * (m * n_bins)  # in place: one (m, samples) sum fewer
+    key = key.ravel()
+    code = np.broadcast_to(np.arange(n_bins), (c, m, n_bins))
+    if rows.size < c * n_bins:
+        present, key = np.unique(key, return_inverse=True)
+        group = present // n_bins  # node * m + slot
+        cell = np.arange(present.size) - np.searchsorted(group, group)
+        code = np.zeros((c, m, cell.max() + 1), dtype=np.int64)
+        cell += group * code.shape[2]
+        code.ravel()[cell] = present % n_bins
+        key = cell[key]
+    left = [np.bincount(key, np.tile(s, m), code.size).reshape(code.shape) for s in stats]
+    present = left[0] > 0
+    for h in left:
+        np.cumsum(h, axis=2, out=h)
+    return present, left, code
 
 
-def grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    cfg: TreeConfig,
-    rng: np.random.Generator | None,
-    codes: list[np.ndarray | None],
-) -> _Tree:
-    """Grow one Gini tree over the rows in idx (repeats allowed, e.g. bootstrap).
+@dataclass(frozen=True)
+class _Gini:
+    """CART: stats are (weight, weighted positives); the best split has the lowest child impurity."""
 
-    Candidates are scored by negated child impurity, so the highest score is
-    the lowest impurity; rng samples max_features features per split.
+    cfg: TreeConfig
+    eps: float  # a split's least gain: float rounding must not pass a zero gain
+
+    def totals(self, node, stats, n):  # weighted counts: exact in any order
+        return [np.bincount(node, s, n) for s in stats]
+
+    def splittable(self, tot, depth):
+        n, n1 = tot
+        deep = self.cfg.max_depth is not None and depth >= self.cfg.max_depth
+        return (0.0 < n1 / n) & (n1 / n < 1.0) & (n >= self.cfg.min_samples_split) & (not deep)
+
+    def base(self, tot):  # n * gini(node); counts are exact in float64
+        n, n1 = tot
+        return n - (n1 * n1 + (n - n1) * (n - n1)) / n
+
+    def score(self, left, tot):  # negated child impurity
+        n_left, c1 = left
+        n, n1 = tot
+        n_right = n - n_left
+        c1r = n1 - c1
+        return -(n_left - (c1 * c1 + (n_left - c1) * (n_left - c1)) / n_left
+                 + n_right - (c1r * c1r + (n_right - c1r) * (n_right - c1r)) / n_right)
+
+    def value(self, tot):
+        return tot[1] / tot[0]
+
+
+def _split_nodes(bins, rows, node, stats, tot, nodes, feats, rule, found) -> None:
+    """Search the nodes (sorted ids of one depth) over their features; put each kept split in found.
+
+    Per node the highest rule.score wins, ties going to the lowest feature, then
+    the lowest threshold. It is kept only if its gain, rule.base + score, exceeds
+    rule.eps. Chunks of nodes, and blocks of each chunk's slots, bound the
+    histograms to _CELLS.
     """
-    n_features = X.shape[1]
-    m = min(cfg.max_features or n_features, n_features)
-    all_feats = np.arange(n_features)
-    stats = [y.astype(np.float64)]
-    # Spurious zero-gain splits from float rounding must not be accepted.
-    eps = max(1e-9, 1e-10 * idx.size)
+    pos = np.full(found[0].size, -1)
+    pos[nodes] = np.arange(nodes.size)
+    mine = np.flatnonzero(pos[node] >= 0)
+    start = np.searchsorted(pos[node[mine]], np.arange(nodes.size + 1))
+    m = feats.shape[1]
+    n_bins = bins.values.shape[1]
+    chunks = min(nodes.size, -(-max(nodes.size * n_bins, mine.size) * m // _CELLS))
+    bounds = np.linspace(0, nodes.size, chunks + 1).astype(int)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        i = mine[start[lo] : start[hi]]
+        ids = nodes[lo:hi]
+        ntot = [t[ids] for t in tot]
+        chunk = (rows[i], pos[node[i]] - lo, [s[i] for s in stats], ntot)
+        best = (np.full(ids.size, -np.inf), np.full(ids.size, -1), np.zeros(ids.size))  # score, feature, threshold
+        width = max(1, _CELLS // max(ids.size * n_bins, i.size))
+        for s0 in range(0, m, width):
+            found_here = _best_splits(bins, *chunk, feats[lo:hi, s0 : s0 + width], rule)
+            better = found_here[0] > best[0]  # strictly: earlier blocks hold the lower features
+            for out, val in zip(best, found_here):
+                out[better] = val[better]
+        gain = rule.base(ntot) + best[0]
+        keep = gain > rule.eps
+        for out, val in zip(found, (best[1], best[2], gain)):
+            out[ids[keep]] = val[keep]
 
-    def find_split(rows, depth, totals):
-        n = rows.size
-        (n1,) = totals
-        if not (0.0 < n1 / n < 1.0 and n >= cfg.min_samples_split and (cfg.max_depth is None or depth < cfg.max_depth)):
-            return None
 
-        def neg_child_impurity(n_left, sums):
-            (c1,) = sums
-            n_right = n - n_left
-            c1r = n1 - c1
-            return -(
-                n_left
-                - (c1 * c1 + (n_left - c1) * (n_left - c1)) / n_left
-                + n_right
-                - (c1r * c1r + (n_right - c1r) * (n_right - c1r)) / n_right
-            )
+def _best_splits(bins, rows, node, stats, tot, feats, rule):
+    """Per node k: the best (score, feature, threshold) over the features feats[k]; score -inf if none."""
+    present, left, code = histograms(bins, rows, node, stats, feats)
+    c, m, width = code.shape
+    at = np.flatnonzero(present & (left[0] < tot[0][:, None, None]))  # a present bin, not the last
+    k = at // (m * width)
+    score = np.full((c, m * width), -np.inf)
+    score.ravel()[at] = rule.score([s.ravel()[at] for s in left], [t[k] for t in tot])
+    r = np.arange(c)
+    best = score.argmax(axis=1)
+    slot, b = np.divmod(best, width)
+    nxt = (present[r, slot] & (np.arange(width) > b[:, None])).argmax(axis=1)  # next present bin
+    f = feats[r, slot]
+    threshold = (bins.values[f, code[r, slot, b]] + bins.values[f, code[r, slot, nxt]]) / 2.0
+    return score[r, best], f, threshold
 
-        # n * gini(node); counts are exact in float64
-        parent = n - (n1 * n1 + (n - n1) * (n - n1)) / n
-        if m < n_features:
-            feats = np.sort(rng.choice(n_features, size=m, replace=False))
-        else:
-            feats = all_feats
-        split = best_split(X, rows, feats, codes, stats, neg_child_impurity, parent, eps)
-        if split is None and m < n_features:
-            # None of the sampled features separates this node; fall back to
-            # the full set so consistent data always ends in pure leaves.
-            split = best_split(X, rows, all_feats, codes, stats, neg_child_impurity, parent, eps)
-        return split
 
-    return grow(X, idx, stats, find_split, lambda n, totals: totals[0] / n)
+def grow(X, bins, rows, tree, stats, n_trees, rule, draw=None) -> list[_Tree]:
+    """Grow n_trees trees together, depth by depth, over weighted samples.
+
+    Sample i is row rows[i] of tree tree[i], in order of tree, then row.
+    stats[0] holds the sample weights and the rest what rule scores; per node
+    rule.totals sums them, rule.splittable(totals, depth) tells whether it may
+    split and rule.value gives its output. draw(trees), if given, gives the
+    sorted features each node of those trees may use; a node they do not split
+    tries all features.
+    """
+    d = X.shape[1]
+    n_root = np.bincount(tree, stats[0], n_trees)
+    node = tree
+    level_tree = np.arange(n_trees)
+    levels = []
+    while level_tree.size:
+        n = level_tree.size
+        tot = rule.totals(node, stats, n)
+        found = (np.full(n, -1), np.zeros(n), np.zeros(n))  # feature, threshold, gain
+        cand = np.flatnonzero(rule.splittable(tot, len(levels)))
+        if draw is not None and cand.size:
+            _split_nodes(bins, rows, node, stats, tot, cand, draw(level_tree[cand]), rule, found)
+            cand = cand[found[0][cand] < 0]
+        _split_nodes(bins, rows, node, stats, tot, cand, np.broadcast_to(np.arange(d), (cand.size, d)), rule, found)
+        levels.append((level_tree, rule.value(tot), *found))
+        split = found[0] >= 0
+        keep = np.flatnonzero(split[node])  # the samples of split nodes go on, each to its child
+        parent = node[keep]
+        child = 2 * (np.cumsum(split) - 1)[parent] + (X[rows[keep], found[0][parent]] > found[1][parent])
+        order = keep[np.argsort(child, kind="stable")]
+        rows = rows[order]
+        node = np.sort(child)
+        stats = [s[order] for s in stats]
+        level_tree = np.repeat(level_tree[split], 2)
+    return _preorder(levels, n_root, d)
+
+
+def _preorder(levels, n_root, d) -> list[_Tree]:
+    """The trees of a level-wise growth, each renumbered depth-first, left child first."""
+    tree, value, feature, threshold, gain = (np.concatenate(a) for a in zip(*levels))
+    offset = np.cumsum([0] + [lv[0].size for lv in levels])
+    inner = [o + np.flatnonzero(lv[2] >= 0) for o, lv in zip(offset, levels)]
+    left = np.full(tree.size, -1)
+    for o, ids in zip(offset[1:], inner):
+        left[ids] = o + 2 * np.arange(ids.size)  # the right child is left + 1
+    size = np.ones(tree.size, dtype=np.int64)  # of each subtree
+    for ids in reversed(inner):
+        size[ids] += size[left[ids]] + size[left[ids] + 1]
+    pre = np.zeros(tree.size, dtype=np.int64)
+    for ids in inner:
+        pre[left[ids]] = pre[ids] + 1
+        pre[left[ids] + 1] = pre[ids] + 1 + size[left[ids]]
+    pre_left = np.where(left >= 0, pre[left], -1)
+    pre_right = np.where(left >= 0, pre[left + 1], -1)
+    trees = []
+    for t, o in enumerate(np.split(np.lexsort((pre, tree)), np.cumsum(np.bincount(tree))[:-1])):
+        split = feature[o] >= 0
+        importance = np.bincount(feature[o][split], gain[o][split] / n_root[t], d)  # summed in preorder
+        trees.append(_Tree(feature[o], threshold[o], pre_left[o], pre_right[o], value[o], importance))
+    return trees
+
+
+def grow_gini(X: np.ndarray, bins: Bins, y: np.ndarray, weights: np.ndarray, cfg: TreeConfig, rngs) -> list[_Tree]:
+    """One Gini tree per row of weights (a bootstrap's counts, or ones), grown together.
+
+    Each node of tree t draws max_features features from rngs[t], depth by
+    depth: the ones with the smallest of d uniform keys.
+    """
+    d = X.shape[1]
+    m = min(cfg.max_features or d, d)
+    tree, rows = np.nonzero(weights)
+    w = weights[tree, rows].astype(np.float64)
+
+    def draw(trees):
+        keys = [rngs[t].random((k, d)) for t, k in zip(*np.unique(trees, return_counts=True))]
+        return np.sort(np.argsort(np.concatenate(keys), axis=1)[:, :m], axis=1)
+
+    rule = _Gini(cfg, max(1e-9, 1e-10 * X.shape[0]))
+    return grow(X, bins, rows, tree, [w, w * y[rows]], len(weights), rule, draw if m < d else None)
 
 
 class DecisionTree(Model):
@@ -176,9 +298,8 @@ class DecisionTree(Model):
     tree_: _Tree
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        codes = _split.column_codes(X)
         rng = rngmod.substream(self.cfg.seed, "tree")
-        self.tree_ = grow_tree(X, y, np.arange(X.shape[0]), self.cfg, rng, codes)
+        (self.tree_,) = grow_gini(X, Bins(X), y, np.ones((1, X.shape[0])), self.cfg, [rng])
 
     def _p1(self, X: np.ndarray) -> np.ndarray:
         return self.tree_.predict(X)

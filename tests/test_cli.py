@@ -389,6 +389,11 @@ MODEL_RANGE_CASES = [
     ("gbt", "max_depth", -1, "max_depth must be >= 0"),
     ("gbt", "learning_rate", 0.0, "learning_rate must be > 0"),
     ("mlp", "learning_rate", -0.1, "learning_rate must be > 0"),
+    ("mlp", "beta1", 1.0, "beta1 must lie in [0, 1)"),
+    ("mlp", "beta2", 1.5, "beta2 must lie in [0, 1)"),
+    ("mlp", "adam_eps", 0.0, "adam_eps must be > 0"),
+    ("mlp", "max_epochs", -3, "max_epochs must be >= 0"),
+    ("mlp", "patience", 0, "patience must be >= 1"),
 ]
 
 

@@ -4,35 +4,160 @@ import pytest
 from adherence.learn import (
     DecisionTree,
     ForestConfig,
+    GbtConfig,
+    GradientBoostedTrees,
     RandomForest,
     TreeConfig,
     forest_importance,
 )
-from adherence.learn import _split
+from adherence import rng as rngmod
+from adherence.learn import forest as forestmod
+from adherence.learn import tree as treemod
+
+
+def _one_node(x, stats):
+    """Histograms of a one-column X as one node: each cell's value, presence and prefix sums."""
+    bins = treemod.Bins(x[:, None])
+    present, left, code = treemod.histograms(bins, np.arange(x.size), np.zeros(x.size, dtype=np.int64), stats,
+                                             np.zeros((1, 1), dtype=np.int64))
+    return bins.values[0][code[0, 0]], present[0, 0], [s[0, 0] for s in left]
 
 
 class TestSplitScan:
     def test_int_and_sort_paths_agree(self):
+        # integer codes (with empty bins) and rank codes give the same candidates and prefix sums
         rng = np.random.default_rng(31)
-        x = rng.integers(0, 5, size=40).astype(float)
-        stats = [rng.integers(0, 2, size=40).astype(float)]
-        codes = x.astype(np.int64)
-        t1, n1, (c1,) = _split.scan(x, stats, codes)
-        t2, n2, (c2,) = _split.scan(x, stats, None)
-        assert np.array_equal(t1, t2)
-        assert np.array_equal(n1, n2)
-        assert np.array_equal(c1, c2)
+        x = rng.choice([0.0, 1.0, 3.0, 4.0, 7.0], size=40)
+        stats = [np.ones(40), rng.integers(0, 2, size=40).astype(float)]
+        int_values, int_present, int_left = _one_node(x, stats)
+        rank_values, rank_present, rank_left = _one_node(x + 0.5, stats)
+        assert int_values.size == 8 and rank_values.size == 5  # own codes 0..7; five distinct values
+        assert int_present.sum() == rank_present.sum() == 5
+        assert np.array_equal(int_values[int_present] + 0.5, rank_values[rank_present])
+        for a, b, stat in zip(int_left, rank_left, stats):
+            assert np.array_equal(a[int_present], b[rank_present])
+            assert np.array_equal(a[int_present], [stat[x <= v].sum() for v in int_values[int_present]])
 
     def test_constant_column_none(self):
-        assert _split.scan(np.ones(5), [np.ones(5)], None) is None
-        assert _split.scan(np.ones(5), [np.ones(5)], np.ones(5, dtype=np.int64)) is None
+        for x in (np.ones(5), np.full(5, 0.5)):
+            y = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+            _, present, _ = _one_node(x, [np.ones(5), y])
+            assert np.count_nonzero(present) == 1  # one present bin: no candidate
+            assert DecisionTree().fit(x[:, None], y.astype(int)).n_nodes == 1
 
     def test_column_codes_detection(self):
-        X = np.array([[0.0, 0.5, 3.0], [4.0, 1.0, -1.0]])
-        codes = _split.column_codes(X)
-        assert codes[0] is not None  # small non-negative ints
-        assert codes[1] is None  # fractional
-        assert codes[2] is None  # negative
+        for col, own in (
+            ([0.0, 4.0], True),  # small non-negative ints
+            ([0.0, 32.0], True),
+            ([0.5, 1.0], False),  # fractional
+            ([3.0, -1.0], False),  # negative
+            ([0.0, 33.0], False),  # beyond the largest own code
+        ):
+            bins = treemod.Bins(np.array(col)[:, None])
+            if own:
+                assert bins.codes[0].tolist() == col
+                assert bins.values[0].tolist() == list(range(int(max(col)) + 1))
+            else:
+                assert bins.codes[0].tolist() == list(np.argsort(np.argsort(col)))
+                assert bins.values[0].tolist() == sorted(col)
+
+
+def _oracle_data(rng, n=60):
+    """An integer grid with ties, a continuous column and a rounded column."""
+    X = np.column_stack([rng.integers(0, 4, size=n), rng.normal(size=n), rng.uniform(-1, 1, size=n).round(1)])
+    y = (X[:, 0] + X[:, 1] + X[:, 2] + rng.normal(size=n) > 1.5).astype(np.int64)
+    return X.astype(float), y
+
+
+def _brute_force_split(X, y, w, eps):
+    """Exhaustive midpoint scan: (feature, threshold) of the lowest child impurity, or None.
+
+    Ties go to the lowest feature, then the lowest threshold; the split is kept
+    only if its gain exceeds eps.
+    """
+    n, n1 = w.sum(), (w * y).sum()
+    parent = n - (n1 * n1 + (n - n1) * (n - n1)) / n
+    best = None
+    for f in range(X.shape[1]):
+        vals = np.unique(X[w > 0, f])
+        for a, b in zip(vals[:-1], vals[1:]):
+            go = X[:, f] <= a
+            nl, c1 = w[go].sum(), (w * y)[go].sum()
+            nr, c1r = n - nl, n1 - c1
+            score = -(nl - (c1 * c1 + (nl - c1) * (nl - c1)) / nl + nr - (c1r * c1r + (nr - c1r) * (nr - c1r)) / nr)
+            if best is None or score > best[0]:
+                best = (score, f, (a + b) / 2.0)
+    return None if best is None or parent + best[0] <= eps else best[1:]
+
+
+class TestLevelWiseOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_splits_match_exhaustive_scan(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        X, y = _oracle_data(rng)
+        w = np.bincount(rng.integers(0, X.shape[0], size=X.shape[0]), minlength=X.shape[0]).astype(float)
+        (tree,) = treemod.grow_gini(X, treemod.Bins(X), y, w[None], TreeConfig(), [None])
+        eps = max(1e-9, 1e-10 * X.shape[0])
+        stack = [(0, w)]
+        while stack:
+            node, wn = stack.pop()
+            n, n1 = wn.sum(), (wn * y).sum()
+            expected = _brute_force_split(X, y, wn, eps) if 0 < n1 < n else None
+            if tree.feature[node] < 0:
+                assert expected is None
+                continue
+            assert (tree.feature[node], tree.threshold[node]) == expected
+            go = X[:, tree.feature[node]] <= tree.threshold[node]
+            stack += [(tree.left[node], wn * go), (tree.right[node], wn * ~go)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weight_equals_repeated_rows(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        X, y = _oracle_data(rng, n=40)
+        w = rng.integers(0, 4, size=40)
+        (weighted,) = treemod.grow_gini(X, treemod.Bins(X), y, w[None], TreeConfig(), [None])
+        repeated = DecisionTree().fit(np.repeat(X, w, axis=0), np.repeat(y, w)).tree_
+        for name in ("feature", "threshold", "left", "right", "value", "importance"):
+            assert np.array_equal(getattr(weighted, name), getattr(repeated, name)), name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forest_together_equals_one_at_a_time(self, seed):
+        rng = np.random.default_rng(70 + seed)
+        X, y = _oracle_data(rng, n=80)
+        X = np.column_stack([X, rng.normal(size=(80, 3))])
+        cfg = TreeConfig(max_features=2, min_samples_split=3)
+        weights = np.array([np.bincount(rng.integers(0, 80, size=80), minlength=80) for _ in range(5)])
+
+        def rngs():
+            return [rngmod.substream(seed, "forest-tree", t) for t in range(5)]
+
+        together = treemod.grow_gini(X, treemod.Bins(X), y, weights, cfg, rngs())
+        alone = [treemod.grow_gini(X, treemod.Bins(X), y, weights[t : t + 1], cfg, rngs()[t : t + 1])[0]
+                 for t in range(5)]
+        for a, b in zip(together, alone):
+            for name in ("feature", "threshold", "left", "right", "value", "importance"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+    def test_small_histograms_grow_the_same_trees(self, monkeypatch):
+        # chunks of nodes and blocks of feature slots keep the lowest-feature tie-break
+        rng = np.random.default_rng(80)
+        X, y = _oracle_data(rng, n=80)
+        X = np.column_stack([X, rng.integers(0, 3, size=(80, 4))])
+        fits = {
+            "tree": lambda: DecisionTree().fit(X, y).tree_,
+            "forest": lambda: RandomForest(ForestConfig(n_trees=4, features_per_split=3, seed=2)).fit(X, y).trees_,
+            "gbt": lambda: GradientBoostedTrees(GbtConfig(n_rounds=3, max_depth=4)).fit(X, y).trees_,
+        }
+        wide = {kind: fit() for kind, fit in fits.items()}
+        monkeypatch.setattr(treemod, "_CELLS", 24)
+        for kind, fit in fits.items():
+            assert _tree_bytes(fit()) == _tree_bytes(wide[kind]), kind
+
+
+def _tree_bytes(trees):
+    trees = trees if isinstance(trees, list) else [trees]
+    return [getattr(t, name).tobytes() for t in trees for name in treemod._Tree.__slots__]
 
 
 class TestDecisionTree:
@@ -110,6 +235,15 @@ class TestRandomForest:
         a = RandomForest(ForestConfig(n_trees=3, bootstrap=True, seed=1)).fit(X, y)
         b = RandomForest(ForestConfig(n_trees=3, bootstrap=False, seed=1)).fit(X, y)
         assert not np.array_equal(a.predict_proba(X), b.predict_proba(X))
+
+    def test_batches_of_trees_equal_one_batch(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(60, 5))
+        y = (X[:, 0] + X[:, 1] > 0).astype(int)
+        cfg = ForestConfig(n_trees=7, min_samples_split=3, seed=4)
+        together = RandomForest(cfg).fit(X, y).trees_
+        monkeypatch.setattr(forestmod, "_SAMPLES", 130)  # two trees of 60 rows per batch
+        assert _tree_bytes(RandomForest(cfg).fit(X, y).trees_) == _tree_bytes(together)
 
 
 class TestForestImportance:

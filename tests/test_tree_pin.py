@@ -21,7 +21,10 @@ from adherence.learn import (
 
 PINNED = {
     "tree": "3873ef207b2d3a6a1ae858c3bc24d93048993bfb24ffed6d898bd0f7acbc8703",
-    "forest": "e910d2ec8d23d9b634712cf749556241d3efe7b925844e0a19581b5c23749ed7",
+    # Re-recorded when trees began to grow level by level: each node now draws
+    # its features_per_split features depth by depth (the smallest of d uniform
+    # keys from its tree's stream), not in depth-first order by rng.choice.
+    "forest": "3b1714a9765a5f24f1bc9d4111deed3449bb65cf2cb45c17f7db15a8955d9b88",
     "gbt": "26e3f542e55fa2fea584dfb4d9f2f27d12bf7718ac5b811d96d725490894cf46",
 }
 
@@ -31,9 +34,9 @@ def _dataset():
     n = 150
     X = np.column_stack(
         [
-            rng.integers(0, 6, size=n).astype(float),  # small ints: bincount scan path
+            rng.integers(0, 6, size=n).astype(float),  # small ints: their own bin codes
             rng.integers(0, 3, size=n).astype(float),
-            rng.normal(size=n),  # continuous: sort scan path
+            rng.normal(size=n),  # continuous: rank codes
             rng.uniform(-1.0, 1.0, size=n).round(1),
         ]
     )
