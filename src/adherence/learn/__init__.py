@@ -7,7 +7,7 @@ from .base import (
     classify,
     ensemble_predict_proba,
 )
-from .forest import ForestConfig, RandomForest, forest_importance
+from .forest import ForestConfig, RandomForest
 from .gbt import GbtConfig, GradientBoostedTrees
 from .knn import KnnConfig, KnnClassifier
 from .mlp import MlpConfig, MlpClassifier
@@ -39,7 +39,6 @@ __all__ = [
     "DecisionTree",
     "ForestConfig",
     "RandomForest",
-    "forest_importance",
     "GbtConfig",
     "GradientBoostedTrees",
     "MlpConfig",

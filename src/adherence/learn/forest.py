@@ -80,7 +80,3 @@ class RandomForest(Model):
             raise ValueError("importance undefined: no tree performed any split")
         acc /= contributing
         return acc / acc.sum()
-
-
-def forest_importance(model: RandomForest) -> np.ndarray:
-    return model.feature_importances()

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,3 +54,12 @@ def random_imbalanced(rng, n_rows, n_cols, pos_fraction=0.2):
     X = rng.normal(size=(n_rows, n_cols))
     X[y == 1] += 1.0  # mild separation
     return make_dataset(X, y)
+
+
+def run_python(args, **env):
+    """Run this interpreter on args in a fresh process that imports the
+    checkout's `src/`, with env added to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=120)

@@ -24,7 +24,6 @@ from adherence.learn import (
     KnnClassifier,
     KnnConfig,
     RandomForest,
-    forest_importance,
 )
 from adherence.resample import ResampleConfig, adasyn_allocation, oversample
 from adherence.sessionize import Session, SessionKind, SessionSeries, extract_windows, label_adherence, windows_for_database
@@ -190,7 +189,7 @@ def test_criterion_6_learner_oracles():
         X = rng.normal(size=(300, 7))
         y = (X[:, 5] > 0).astype(int)
         forest = RandomForest(ForestConfig(n_trees=40, seed=2)).fit(X, y)
-        importances = forest_importance(forest)
+        importances = forest.feature_importances()
         assert importances.sum() == pytest.approx(1.0, abs=1e-9)
         assert int(np.argmax(importances)) == 5
 

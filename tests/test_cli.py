@@ -10,7 +10,7 @@ from adherence.cli import build_parser, main
 from adherence.features import read_dataset_csv, write_dataset_csv
 from adherence.learn.serialize import decode_array, encode_array
 
-from conftest import make_dataset
+from conftest import make_dataset, run_python
 from test_artifact_pin import COMMANDS
 
 
@@ -366,6 +366,12 @@ def test_seed_is_a_usage_error_where_nothing_is_random(command, capsys):
         run(command, "--seed", "3")
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_python_m_adherence_runs_the_cli():
+    proc = run_python(["-m", "adherence", "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: adherence")
 
 
 # Model-section fields of the wrong type, with the test id of each.

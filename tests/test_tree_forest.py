@@ -8,7 +8,6 @@ from adherence.learn import (
     GradientBoostedTrees,
     RandomForest,
     TreeConfig,
-    forest_importance,
 )
 from adherence import rng as rngmod
 from adherence.learn import forest as forestmod
@@ -256,7 +255,7 @@ class TestForestImportance:
         rng = np.random.default_rng(37)
         X, y = self.planted(rng)
         forest = RandomForest(ForestConfig(n_trees=20, seed=3)).fit(X, y)
-        imp = forest_importance(forest)
+        imp = forest.feature_importances()
         assert imp.sum() == pytest.approx(1.0, abs=1e-9)
         assert (imp >= 0).all()
 
@@ -264,7 +263,7 @@ class TestForestImportance:
         rng = np.random.default_rng(38)
         X, y = self.planted(rng)
         forest = RandomForest(ForestConfig(n_trees=30, seed=4)).fit(X, y)
-        assert int(np.argmax(forest_importance(forest))) == 2
+        assert int(np.argmax(forest.feature_importances())) == 2
 
     def test_unused_feature_zero(self):
         # feature 1 is constant: never splittable
@@ -273,18 +272,18 @@ class TestForestImportance:
         X[:, 1] = 7.0
         y = (X[:, 0] > 0).astype(int)
         forest = RandomForest(ForestConfig(n_trees=10, seed=5)).fit(X, y)
-        assert forest_importance(forest)[1] == 0.0
+        assert forest.feature_importances()[1] == 0.0
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(40)
         X, y = self.planted(rng, n=150, d=5)
         cfg = ForestConfig(n_trees=10, bootstrap=True, features_per_split=5, seed=6)
-        imp = forest_importance(RandomForest(cfg).fit(X, y))
+        imp = RandomForest(cfg).fit(X, y).feature_importances()
         perm = np.array([3, 0, 4, 2, 1])
-        imp_perm = forest_importance(RandomForest(cfg).fit(X[:, perm], y))
+        imp_perm = RandomForest(cfg).fit(X[:, perm], y).feature_importances()
         assert np.allclose(imp_perm, imp[perm], atol=1e-12)
 
     def test_no_splits_errors(self):
         forest = RandomForest(ForestConfig(n_trees=3, seed=1)).fit(np.ones((10, 2)), np.zeros(10, dtype=int))
         with pytest.raises(ValueError, match="no tree performed any split"):
-            forest_importance(forest)
+            forest.feature_importances()
