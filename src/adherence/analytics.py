@@ -187,8 +187,8 @@ class AcquisitionStats:
     bins: list[HistogramBin]
 
 
-def acquisition_distribution(samples: list[WindowSample], bin_width: float = 1.0) -> AcquisitionStats:
-    """Distribution of the per-user average number of acquisitions per window."""
+def acquisition_distribution(samples: list[WindowSample]) -> AcquisitionStats:
+    """Distribution of the per-user average number of acquisitions per window, in bins of 1."""
     if not samples:
         raise ValueError("no window samples")
     sums: dict[str, list[int]] = {}
@@ -197,7 +197,7 @@ def acquisition_distribution(samples: list[WindowSample], bin_width: float = 1.0
     per_user = {u: float(np.mean(v)) for u, v in sorted(sums.items())}
     values = np.array(list(per_user.values()))
     top = 4.0 * WINDOW_SESSIONS
-    edges = np.arange(0.0, top + bin_width, bin_width)
+    edges = np.arange(0.0, top + 1.0)
     counts, _ = np.histogram(values, bins=edges)
     bins = [
         HistogramBin(float(edges[i]), float(edges[i + 1]), int(c))

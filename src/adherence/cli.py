@@ -188,10 +188,10 @@ def cmd_build(args, cfg: dict, out: Path):
     write_rejects(db.rejects, out / "rejects.csv")
     write_cleanse_report(report, out / "cleanse_report.csv")
     outputs = ["windows.csv", "rejects.csv", "cleanse_report.csv"]
+    d6 = build_variant(samples, cleansed.profiles)
     for variant in variants:
-        ds = build_variant(samples, cleansed.profiles, variant)
         name = f"dataset_{variant}.csv"
-        write_dataset_csv(ds, out / name)
+        write_dataset_csv(d6.prefix(variant), out / name)
         outputs.append(name)
     print(f"built {len(samples)} windows into {len(variants)} dataset variant(s) -> {out}")
     return {"db": str(db_dir), "variants": variants}, outputs
@@ -233,14 +233,13 @@ def cmd_stats(args, cfg: dict, out: Path):
               ([b.start, b.end, b.count] for b in dist.bins),
               {"mean": dist.mean, "min": dist.minimum, "max": dist.maximum})
 
-        d0 = build_variant(samples, cleansed.profiles, "D0")
-        corr, names = analytics.session_correlation_matrix(d0)
+        d6 = build_variant(samples, cleansed.profiles)
+        corr, names = analytics.session_correlation_matrix(d6.prefix("D0"))
         table("session_correlation", ["", *names],
               ([name, *("" if math.isnan(v) else repr(float(v)) for v in row)]
                for name, row in zip(names, corr)))
 
-        ds = d0 if variant == "D0" else build_variant(samples, cleansed.profiles, variant)
-        dup = analytics.duplicate_analysis(ds)
+        dup = analytics.duplicate_analysis(d6.prefix(variant))
         table("duplicates", ["multiplicity", "n_tuples"], dup.multiplicity_histogram.items(), {
             "variant": variant,
             "n_rows": dup.n_rows,

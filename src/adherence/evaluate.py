@@ -186,7 +186,6 @@ def _config_fingerprint(
     resample_cfg: ResampleConfig | None,
     k: int,
     seed: int,
-    preprocess: bool,
 ) -> dict:
     return {
         "artifact_version": __version__,
@@ -200,7 +199,7 @@ def _config_fingerprint(
         "resample": None if resample_cfg is None else dataclasses.asdict(resample_cfg),
         "k": k,
         "seed": seed,
-        "preprocess": preprocess,
+        "preprocess": True,  # every fold is preprocessed; the key keeps report digests as they were
     }
 
 
@@ -216,7 +215,6 @@ def cross_validate(
     resample_cfg: ResampleConfig | None = None,
     k: int = 10,
     seed: int = 0,
-    preprocess: bool = True,
     n_jobs: int = 1,
 ) -> CvReport:
     """Stratified k-fold evaluation with strictly fold-internal fitting.
@@ -237,10 +235,9 @@ def cross_validate(
             train_idx = np.setdiff1d(all_rows, val_idx)
             tr = ds.subset(train_idx)
             va = ds.subset(val_idx)
-            if preprocess:
-                state = fit_preprocess(tr)
-                tr = transform(tr, state)
-                va = transform(va, state)
+            state = fit_preprocess(tr)
+            tr = transform(tr, state)
+            va = transform(va, state)
             if resample_cfg is not None:
                 tr = oversample(tr, _with_seed(resample_cfg, substream_seed(seed, "resample", f)))
             model = build_model(_with_seed(model_cfg, substream_seed(seed, "model", f)))
@@ -261,7 +258,7 @@ def cross_validate(
         fp=sum(r.metrics.fp for r in results),
         fn=sum(r.metrics.fn for r in results),
     )
-    fingerprint = _config_fingerprint(ds, model_cfg, resample_cfg, k, seed, preprocess)
+    fingerprint = _config_fingerprint(ds, model_cfg, resample_cfg, k, seed)
     digest = hashlib.sha256(canonical_json(fingerprint).encode("utf-8")).hexdigest()
     return CvReport(
         folds=results,

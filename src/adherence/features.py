@@ -49,15 +49,8 @@ VARIANT_COLUMN_COUNTS = dict(zip(VARIANTS, accumulate(map(len, _BLOCKS))))
 VARIANT_COLUMNS = {name: _D6_COLUMNS[:n] for name, n in VARIANT_COLUMN_COUNTS.items()}
 
 
-def variant_columns(variant: str) -> list[str]:
-    if variant not in VARIANT_COLUMNS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return list(VARIANT_COLUMNS[variant])
-
-
 @dataclass
 class TabularDataset:
-    variant: str
     column_names: list[str]
     X: np.ndarray  # float64, NaN marks null
     y: np.ndarray | None  # {0,1} labels, None for unlabeled feature files
@@ -72,11 +65,11 @@ class TabularDataset:
             self.y = np.asarray(self.y, dtype=np.int64)
             if self.y.shape != (self.X.shape[0],):
                 raise ValueError("labels must align with rows")
-        if self.variant in VARIANT_COLUMN_COUNTS and len(self.column_names) != VARIANT_COLUMN_COUNTS[self.variant]:
-            raise ValueError(
-                f"variant {self.variant} requires {VARIANT_COLUMN_COUNTS[self.variant]} columns, "
-                f"got {len(self.column_names)}"
-            )
+
+    @property
+    def variant(self) -> str:
+        """D0..D6 when the columns are exactly that variant's, else "custom"."""
+        return next((v for v, cols in VARIANT_COLUMNS.items() if cols == self.column_names), "custom")
 
     @property
     def n_rows(self) -> int:
@@ -93,7 +86,14 @@ class TabularDataset:
 
     def subset(self, rows: np.ndarray) -> "TabularDataset":
         y = None if self.y is None else self.y[rows]
-        return TabularDataset(self.variant, list(self.column_names), self.X[rows], y)
+        return TabularDataset(list(self.column_names), self.X[rows], y)
+
+    def prefix(self, variant: str) -> "TabularDataset":
+        """The leading columns that make up ``variant``, with every row and label."""
+        columns = VARIANT_COLUMNS.get(variant)
+        if columns is None or self.column_names[: len(columns)] != columns:
+            raise ValueError(f"variant {variant!r} is not a column prefix of this dataset; variants are {VARIANTS}")
+        return TabularDataset(list(columns), self.X[:, : len(columns)], self.y)
 
     def static_mask(self) -> np.ndarray:
         """True for columns subject to scaling (everything but S1..S12)."""
@@ -118,27 +118,24 @@ def _matrix(rows: list, width: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
-def build_variant(
-    samples: list[WindowSample],
-    profiles: dict[str, UserProfile],
-    variant: str,
-) -> TabularDataset:
-    """Assemble one variant's columns: the D6 blocks it needs, cut to its width; nulls stay NaN."""
-    columns = variant_columns(variant)
-    n_d0, n_d1 = VARIANT_COLUMN_COUNTS["D0"], VARIANT_COLUMN_COUNTS["D1"]
-    blocks = [_matrix([s.values for s in samples], n_d0)]
-    if len(columns) > n_d0:
-        blocks.append(_matrix([_timestamp_features(s) for s in samples], n_d1 - n_d0))
-    if len(columns) > n_d1:
-        users = list(dict.fromkeys(s.user_id for s in samples))
-        unknown = [u for u in users if u not in profiles]
-        if unknown:
-            raise ValueError(f"unknown user_id {unknown[0]!r}")
-        static = _matrix([_static_features(profiles[u]) for u in users], len(_D6_COLUMNS) - n_d1)
-        row_of = {u: i for i, u in enumerate(users)}
-        blocks.append(static[[row_of[s.user_id] for s in samples]])
+def build_variant(samples: list[WindowSample], profiles: dict[str, UserProfile]) -> TabularDataset:
+    """Assemble D6 from its sessions, timestamps and each user's static values; nulls stay NaN.
+
+    Every other variant is a prefix of it: ``build_variant(samples, profiles).prefix("D3")``.
+    """
+    users = list(dict.fromkeys(s.user_id for s in samples))
+    unknown = [u for u in users if u not in profiles]
+    if unknown:
+        raise ValueError(f"unknown user_id {unknown[0]!r}")
+    static = _matrix([_static_features(profiles[u]) for u in users], len(_D6_COLUMNS) - VARIANT_COLUMN_COUNTS["D1"])
+    row_of = {u: i for i, u in enumerate(users)}
+    X = np.hstack([
+        _matrix([s.values for s in samples], len(S_COLUMNS)),
+        _matrix([_timestamp_features(s) for s in samples], len(TIMESTAMP_COLUMNS)),
+        static[[row_of[s.user_id] for s in samples]],
+    ])
     y = np.array([s.label for s in samples], dtype=np.int64)
-    return TabularDataset(variant=variant, column_names=columns, X=np.hstack(blocks)[:, : len(columns)], y=y)
+    return TabularDataset(column_names=list(_D6_COLUMNS), X=X, y=y)
 
 
 @dataclass
@@ -199,7 +196,7 @@ def transform(ds: TabularDataset, state: PreprocessState) -> TabularDataset:
     nonconst = span > 0
     scaled[:, nonconst] = np.clip((block[:, nonconst] - lo[nonconst]) / span[nonconst], 0.0, 1.0)
     X[:, static] = scaled
-    return TabularDataset(ds.variant, list(ds.column_names), X, None if ds.y is None else ds.y.copy())
+    return TabularDataset(list(ds.column_names), X, None if ds.y is None else ds.y.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -232,30 +229,32 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty dataset file, header expected")
-        labeled = bool(header) and header[-1] == LABEL_COLUMN
-        columns = header[:-1] if labeled else header
-        if not columns:
-            raise ValueError(f"{path}: no feature columns in the header")
-        X_rows = []
-        y_rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: {len(row)} cell(s), but the header has {len(header)}"
-                )
-            try:
-                X_rows.append([math.nan if c == "" else float(c) for c in row[: len(columns)]])
-                if labeled:
-                    y_rows.append(float(row[-1]))
-                    if y_rows[-1] not in (0.0, 1.0):
-                        raise ValueError(f"label {row[-1]!r} is not 0 or 1")
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    variant = next((v for v, cols in VARIANT_COLUMNS.items() if cols == columns), "custom")
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty dataset file, header expected")
+            labeled = bool(header) and header[-1] == LABEL_COLUMN
+            columns = header[:-1] if labeled else header
+            if not columns:
+                raise ValueError(f"{path}: no feature columns in the header")
+            X_rows = []
+            y_rows = []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: {len(row)} cell(s), but the header has {len(header)}"
+                    )
+                try:
+                    X_rows.append([math.nan if c == "" else float(c) for c in row[: len(columns)]])
+                    if labeled:
+                        y_rows.append(float(row[-1]))
+                        if y_rows[-1] not in (0.0, 1.0):
+                            raise ValueError(f"label {row[-1]!r} is not 0 or 1")
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     y = np.array(y_rows, dtype=np.int64) if labeled else None
-    return TabularDataset(variant=variant, column_names=columns, X=_matrix(X_rows, len(columns)), y=y)
+    return TabularDataset(column_names=columns, X=_matrix(X_rows, len(columns)), y=y)

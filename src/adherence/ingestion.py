@@ -188,14 +188,16 @@ def _read_table(path: Path, required: list[str], table: str) -> tuple[list[str],
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{table}: empty file, header expected") from None
-        header = [h.strip() for h in header]
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise IngestError(f"{table}: missing required column(s) {missing}")
-        rows = [row for row in reader]
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
+            raise IngestError(f"{table}: {path}: line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise IngestError(f"{table}: empty file, header expected")
+    header = [h.strip() for h in header]
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise IngestError(f"{table}: missing required column(s) {missing}")
     return header, rows
 
 

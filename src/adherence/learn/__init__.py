@@ -5,7 +5,6 @@ from .base import (
     MajorityModel,
     Model,
     classify,
-    ensemble_predict_proba,
 )
 from .forest import ForestConfig, RandomForest
 from .gbt import GbtConfig, GradientBoostedTrees
@@ -23,7 +22,6 @@ from .tree import DecisionTree, TreeConfig
 
 __all__ = [
     "classify",
-    "ensemble_predict_proba",
     "build_model",
     "config_from_dict",
     "from_json",

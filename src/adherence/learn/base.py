@@ -109,18 +109,3 @@ class MajorityModel(Model):
     def _p1(self, X: np.ndarray) -> np.ndarray:
         return np.full(X.shape[0], self.p1_)
 
-
-def ensemble_predict_proba(models: list[Model], X: np.ndarray) -> np.ndarray:
-    """Soft vote: unweighted mean of the members' predicted probabilities."""
-    if not models:
-        raise ValueError("ensemble needs at least one model")
-    schemas = {tuple(m.feature_names) for m in models if m.feature_names is not None}
-    if len(schemas) > 1:
-        raise ValueError("ensemble members disagree on feature schema")
-    widths = {m.n_features_ for m in models}
-    if len(widths) > 1:
-        raise ValueError("ensemble members disagree on feature count")
-    acc = np.zeros((np.asarray(X).shape[0], 2))
-    for m in models:
-        acc += m.predict_proba(X)
-    return acc / len(models)

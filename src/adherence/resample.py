@@ -63,7 +63,7 @@ def oversample(ds: TabularDataset, cfg: ResampleConfig) -> TabularDataset:
     """
     minority, min_idx, need = _minority(ds, cfg)
     if need == 0:
-        return TabularDataset(ds.variant, list(ds.column_names), ds.X.copy(), ds.labels().copy())
+        return TabularDataset(list(ds.column_names), ds.X.copy(), ds.labels().copy())
     rng = substream(cfg.seed, "resample", cfg.method)
     if cfg.method == "adasyn":
         base = np.repeat(np.arange(min_idx.size), adasyn_allocation(ds, cfg))
@@ -79,7 +79,7 @@ def oversample(ds: TabularDataset, cfg: ResampleConfig) -> TabularDataset:
         lam = rng.random(size=need)
         X_new = X_min[base] + lam[:, None] * (X_min[nn[base, pick]] - X_min[base])
     y = np.concatenate([ds.labels(), np.full(need, minority, dtype=np.int64)])
-    return TabularDataset(ds.variant, list(ds.column_names), np.vstack([ds.X, X_new]), y)
+    return TabularDataset(list(ds.column_names), np.vstack([ds.X, X_new]), y)
 
 
 def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:

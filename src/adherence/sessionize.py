@@ -8,7 +8,6 @@ decide the adherence label: high (1) iff at least 2 of them contain activity.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
@@ -49,22 +48,16 @@ class WindowSample:
     window_end_date: date  # start date of the 12th session
 
 
-def round_active_period(first: date, last: date, last_rounding: str = "previous") -> tuple[date, date]:
+def round_active_period(first: date, last: date) -> tuple[date, date]:
     """Round the raw active period to week boundaries.
 
-    The first date is rounded back to its Monday. The last date is rounded back
-    to the previous Sunday, or forward to the next Sunday with
-    ``last_rounding="next"``. The result may be empty (sunday < monday).
+    The first date is rounded back to its Monday and the last date back to the
+    previous Sunday. The result may be empty (sunday < monday).
     """
     if first > last:
         raise ValueError(f"inverted period: {first} > {last}")
-    if last_rounding not in ("previous", "next"):
-        raise ValueError(f"last_rounding must be 'previous' or 'next', got {last_rounding!r}")
     monday = first - timedelta(days=first.weekday())
-    if last_rounding == "previous":
-        sunday = last if last.weekday() == 6 else last - timedelta(days=last.weekday() + 1)
-    else:
-        sunday = last + timedelta(days=(6 - last.weekday()) % 7)
+    sunday = last if last.weekday() == 6 else last - timedelta(days=last.weekday() + 1)
     return monday, sunday
 
 
@@ -122,21 +115,21 @@ def extract_windows(series: SessionSeries) -> list[WindowSample]:
     return samples
 
 
-def sessionize_database(db: RawDatabase, last_rounding: str = "previous") -> list[SessionSeries]:
+def sessionize_database(db: RawDatabase) -> list[SessionSeries]:
     """One SessionSeries per user with acquisitions, in user_id order."""
     out: list[SessionSeries] = []
     for user_id, events in sorted(db.events_by_user().items()):
         first = min(e.timestamp for e in events)
         last = max(e.timestamp for e in events)
-        period = round_active_period(first, last, last_rounding)
+        period = round_active_period(first, last)
         out.append(build_sessions(user_id, events, period))
     return out
 
 
-def windows_for_database(db: RawDatabase, last_rounding: str = "previous") -> list[WindowSample]:
+def windows_for_database(db: RawDatabase) -> list[WindowSample]:
     """Sessionize every user and extract all windows, merged in user_id order."""
     samples: list[WindowSample] = []
-    for series in sessionize_database(db, last_rounding):
+    for series in sessionize_database(db):
         samples.extend(extract_windows(series))
     return samples
 
@@ -151,21 +144,3 @@ def write_windows(samples: list[WindowSample], path: str | Path) -> None:
     write_csv(path, header,
               ([s.user_id, *s.values, *s.future, s.label, s.window_end_date.isoformat()] for s in samples))
 
-
-def read_windows(path: str | Path) -> list[WindowSample]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        samples = []
-        for row in reader:
-            values = tuple(int(row[f"S{i}"]) for i in range(1, WINDOW_SESSIONS + 1))
-            fs = tuple(int(row[f"FS{i}"]) for i in range(1, FUTURE_SESSIONS + 1))
-            samples.append(
-                WindowSample(
-                    user_id=row["user_id"],
-                    values=values,
-                    future=fs,
-                    label=int(row["A"]),
-                    window_end_date=date.fromisoformat(row["window_end_date"]),
-                )
-            )
-    return samples

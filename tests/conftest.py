@@ -39,11 +39,11 @@ def db_dir(tmp_path, small_db):
     return d
 
 
-def make_dataset(X, y, columns=None, variant="custom"):
+def make_dataset(X, y, columns=None):
     X = np.asarray(X, dtype=np.float64)
     if columns is None:
         columns = [f"f{i}" for i in range(X.shape[1])]
-    return TabularDataset(variant=variant, column_names=list(columns), X=X, y=None if y is None else np.asarray(y))
+    return TabularDataset(column_names=list(columns), X=X, y=None if y is None else np.asarray(y))
 
 
 def random_imbalanced(rng, n_rows, n_cols, pos_fraction=0.2):

@@ -107,8 +107,9 @@ def test_criterion_4_dataset_shape_contract(small_cleansed):
     with criterion(4, "variants D0..D6 have exactly 12/15/22/34/74/84/115 feature columns"):
         assert VARIANT_COLUMN_COUNTS == {"D0": 12, "D1": 15, "D2": 22, "D3": 34, "D4": 74, "D5": 84, "D6": 115}
         samples = windows_for_database(small_cleansed)
+        d6 = build_variant(samples, small_cleansed.profiles)
         for variant, expected in VARIANT_COLUMN_COUNTS.items():
-            ds = build_variant(samples, small_cleansed.profiles, variant)
+            ds = d6.prefix(variant)
             assert ds.n_cols == expected
             assert ds.n_rows == len(samples)
 

@@ -61,7 +61,7 @@ class TestPearson:
 class TestSessionCorrelationMatrix:
     def test_shape_diagonal_symmetry(self, small_cleansed):
         samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles, "D0")
+        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
         corr, names = session_correlation_matrix(ds)
         assert corr.shape == (13, 13)
         assert names[-1] == "A"
@@ -70,14 +70,14 @@ class TestSessionCorrelationMatrix:
 
     def test_recency_structure(self, small_cleansed):
         samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles, "D0")
+        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
         corr, _ = session_correlation_matrix(ds)
         assert corr[11, 12] > corr[0, 12]
 
     def test_constant_column_flagged(self):
         X = np.ones((10, 12))
         X[:, 1:] = np.arange(10)[:, None] % 3
-        ds = make_dataset(X, [0, 1] * 5, columns=[f"S{i}" for i in range(1, 13)], variant="D0")
+        ds = make_dataset(X, [0, 1] * 5, columns=[f"S{i}" for i in range(1, 13)])
         corr, _ = session_correlation_matrix(ds)
         assert math.isnan(corr[0, 12])
         assert corr[0, 0] == 1.0
@@ -264,23 +264,23 @@ class TestDuplicateAnalysis:
 
     def test_multiplicities_sum_to_rows(self, small_cleansed):
         samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles, "D0")
+        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
         report = duplicate_analysis(ds)
         assert sum(m * c for m, c in report.multiplicity_histogram.items()) == ds.n_rows
 
     def test_binarized_d0_within_4096(self, small_cleansed):
         samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles, "D0")
-        binarized = make_dataset((ds.X >= 1).astype(float), ds.y, columns=ds.column_names, variant="custom")
+        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
+        binarized = make_dataset((ds.X >= 1).astype(float), ds.y, columns=ds.column_names)
         report = duplicate_analysis(binarized)
         assert report.n_distinct <= 4096
 
     def test_permutation_invariant(self, small_cleansed):
         samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles, "D0")
+        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
         rng = np.random.default_rng(0)
         perm = rng.permutation(ds.n_rows)
-        shuffled = make_dataset(ds.X[perm], ds.y[perm], columns=ds.column_names, variant="D0")
+        shuffled = make_dataset(ds.X[perm], ds.y[perm], columns=ds.column_names)
         a, b = duplicate_analysis(ds), duplicate_analysis(shuffled)
         assert a.multiplicity_histogram == b.multiplicity_histogram
         assert a.duplicates == b.duplicates

@@ -261,7 +261,7 @@ class TestTrainPredict:
         assert run("train", "--dataset", str(built / "dataset_D0.csv"), "--model", "majority",
                    "--out", str(t)) == 0
         labeled = read_dataset_csv(built / "dataset_D0.csv")
-        unlabeled = make_dataset(labeled.X, None, columns=labeled.column_names, variant="D0")
+        unlabeled = make_dataset(labeled.X, None, columns=labeled.column_names)
         write_dataset_csv(unlabeled, tmp_path / "features_only.csv")
         p = tmp_path / "p4"
         assert run("predict", "--model-file", str(t / "model.json"),
@@ -530,6 +530,31 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert code == expected[0]
         assert captured.err.strip().splitlines() == [f"{expected[1]}bad {kind} config: {message}"]
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_oversized_dataset_cell_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "ds.csv"
+        path.write_text("f0,f1,A\n1,2,0\n3," + "4" * 131_073 + ",1\n")
+        capsys.readouterr()
+        code = run("cv", "--dataset", str(path), "--model", "majority", "--k", "2", "--out", str(tmp_path / "o"))
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error [cv]: {path}: line 3: field larger than field limit")
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_oversized_database_cell_is_one_error_line(self, tmp_path, capsys, db_dir):
+        path = db_dir / "demographics.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = "x" * 131_073 + lines[4]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run("ingest", "--db", str(db_dir), "--out", str(tmp_path / "o"))
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1
+        assert err[0].startswith(f"error [ingest/ingestion]: demographics: {path}: line 5: field larger than field limit")
         assert "Traceback" not in captured.out + captured.err
 
     def test_wrong_width_dataset_row(self, tmp_path, capsys):

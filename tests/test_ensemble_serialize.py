@@ -21,7 +21,6 @@ from adherence.learn import (
     build_model,
     classify,
     config_from_dict,
-    ensemble_predict_proba,
     load_model,
     save_model,
 )
@@ -33,53 +32,6 @@ class TestClassify:
     def test_threshold_rules(self):
         proba = np.array([[0.3, 0.7], [0.5, 0.5], [1.0, 0.0]])
         assert classify(proba).tolist() == [1, 0, 0]
-
-
-def FixedProba(p1, n_features=2, names=None):
-    """Stub model answering a constant probability: a majority model with a set prior."""
-    model = MajorityModel()
-    model.p1_, model.n_features_, model.feature_names = p1, n_features, names
-    return model
-
-
-class TestEnsemble:
-    def test_single_member_identity(self):
-        X = np.zeros((3, 2))
-        out = ensemble_predict_proba([FixedProba(0.2)], X)
-        assert np.allclose(out[:, 1], 0.2)
-
-    def test_mean_of_two(self):
-        X = np.zeros((4, 2))
-        out = ensemble_predict_proba([FixedProba(0.2), FixedProba(0.8)], X)
-        assert np.allclose(out[:, 1], 0.5)
-
-    def test_mean_is_valid_distribution(self):
-        rng = np.random.default_rng(61)
-        X = rng.normal(size=(30, 3))
-        y = (X[:, 0] > 0).astype(int)
-        members = [
-            KnnClassifier(KnnConfig(k=3)).fit(X, y),
-            DecisionTree(TreeConfig(max_depth=3)).fit(X, y),
-            GradientBoostedTrees(GbtConfig(n_rounds=5, max_depth=2)).fit(X, y),
-        ]
-        proba = ensemble_predict_proba(members, X)
-        assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
-        assert proba.min() >= 0.0 and proba.max() <= 1.0
-
-    def test_schema_mismatch(self):
-        with pytest.raises(ValueError, match="feature schema"):
-            ensemble_predict_proba(
-                [FixedProba(0.2, names=["a", "b"]), FixedProba(0.8, names=["a", "c"])],
-                np.zeros((1, 2)),
-            )
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="feature count"):
-            ensemble_predict_proba([FixedProba(0.2, 2), FixedProba(0.8, 3)], np.zeros((1, 2)))
-
-    def test_empty_ensemble(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ensemble_predict_proba([], np.zeros((1, 2)))
 
 
 def fitted_models(rng):

@@ -7,6 +7,7 @@ import pytest
 from adherence.features import (
     S_COLUMNS,
     VARIANT_COLUMN_COUNTS,
+    VARIANT_COLUMNS,
     VARIANTS,
     TabularDataset,
     build_variant,
@@ -14,7 +15,6 @@ from adherence.features import (
     fit_preprocess,
     read_dataset_csv,
     transform,
-    variant_columns,
     write_dataset_csv,
 )
 from adherence.ingestion import UserProfile
@@ -52,39 +52,52 @@ class TestVariantColumns:
 
     def test_counts_on_synthetic_pipeline(self, small_cleansed):
         samples = windows_for_database(small_cleansed)
+        d6 = build_variant(samples, small_cleansed.profiles)
         for variant, count in EXPECTED_COUNTS.items():
-            ds = build_variant(samples, small_cleansed.profiles, variant)
+            ds = d6.prefix(variant)
             assert ds.n_cols == count
             assert ds.n_rows == len(samples)
+            assert ds.variant == variant
+        assert make_dataset(d6.X[:, :13], d6.y, columns=d6.column_names[:13]).variant == "custom"
 
     def test_nesting_prefix_property(self):
         for prev, cur in zip(VARIANTS, VARIANTS[1:]):
-            a, b = variant_columns(prev), variant_columns(cur)
+            a, b = VARIANT_COLUMNS[prev], VARIANT_COLUMNS[cur]
             assert b[: len(a)] == a and len(b) > len(a)
 
     def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="unknown variant"):
-            variant_columns("D7")
+        d6 = build_variant([sample_for()], {"u1": profile_for()})
+        with pytest.raises(ValueError, match="'D7' is not a column prefix"):
+            d6.prefix("D7")
+
+    def test_prefix_of_a_narrower_dataset_rejected(self):
+        d2 = build_variant([sample_for()], {"u1": profile_for()}).prefix("D2")
+        assert d2.prefix("D1").column_names == VARIANT_COLUMNS["D1"]
+        with pytest.raises(ValueError, match="'D3' is not a column prefix"):
+            d2.prefix("D3")
+        renamed = make_dataset(d2.X, d2.y, columns=["s1", *d2.column_names[1:]])
+        with pytest.raises(ValueError, match="'D0' is not a column prefix"):
+            renamed.prefix("D0")
 
     def test_user_id_never_a_feature(self, small_cleansed):
         samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles, "D6")
+        ds = build_variant(samples, small_cleansed.profiles)
         assert "user_id" not in ds.column_names
 
 
 class TestBuildVariant:
     def test_unknown_user_errors(self):
         with pytest.raises(ValueError, match="unknown user_id"):
-            build_variant([sample_for("ghost")], {"u1": profile_for()}, "D2")
+            build_variant([sample_for("ghost")], {"u1": profile_for()})
 
     def test_timestamp_features(self):
-        ds = build_variant([sample_for(end=date(2018, 11, 5))], {"u1": profile_for()}, "D1")
+        ds = build_variant([sample_for(end=date(2018, 11, 5))], {"u1": profile_for()})
         week, month, year = ds.X[0, 12:15]
         assert (week, month, year) == (45, 11, 2018)
 
     def test_nulls_become_nan(self):
         # ucla instance 1 unanswered -> NaN block in D4
-        ds = build_variant([sample_for()], {"u1": profile_for()}, "D4")
+        ds = build_variant([sample_for()], {"u1": profile_for()}).prefix("D4")
         cols = ds.column_names
         ucla1 = [i for i, c in enumerate(cols) if c.startswith("ucla1_")]
         ucla3 = [i for i, c in enumerate(cols) if c.startswith("ucla3_")]
@@ -92,9 +105,12 @@ class TestBuildVariant:
         assert (ds.X[0, ucla3] == 2).all()
 
     def test_d0_needs_no_profiles(self):
-        ds = build_variant([sample_for("ghost")], {}, "D0")
+        # D0 uses no profile value, but D6, which D0 is cut from, needs every window's user.
+        ds = build_variant([sample_for()], {"u1": UserProfile("u1")}).prefix("D0")
         assert ds.n_cols == 12
         assert list(ds.X[0]) == list(map(float, sample_for().values))
+        with pytest.raises(ValueError, match="unknown user_id 'ghost'"):
+            build_variant([sample_for("ghost")], {})
 
 
 class TestPreprocess:
@@ -129,13 +145,13 @@ class TestPreprocess:
         cols = S_COLUMNS
         X = np.tile(np.arange(12, dtype=float), (3, 1))
         X[1] += 1
-        ds = TabularDataset("D0", cols, X, np.array([0, 1, 0]))
+        ds = TabularDataset(cols, X, np.array([0, 1, 0]))
         out = transform(ds, fit_preprocess(ds))
         assert np.array_equal(out.X, X)
 
     def test_imputation_and_range(self, small_cleansed):
         samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles, "D6")
+        ds = build_variant(samples, small_cleansed.profiles)
         state = fit_preprocess(ds)
         out = transform(ds, state)
         assert not np.isnan(out.X).any()
@@ -163,7 +179,7 @@ class TestPreprocess:
 class TestCsvRoundTrip:
     def test_round_trip_values_and_metadata(self, tmp_path, small_cleansed):
         samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles, "D3")
+        ds = build_variant(samples, small_cleansed.profiles).prefix("D3")
         path = tmp_path / "d3.csv"
         write_dataset_csv(ds, path)
         back = read_dataset_csv(path)
@@ -183,23 +199,19 @@ class TestCsvRoundTrip:
 
     def test_variant_inferred_without_sidecar(self, tmp_path, small_cleansed):
         samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles, "D0")
+        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
         path = tmp_path / "d0.csv"
         write_dataset_csv(ds, path)
         assert read_dataset_csv(path).variant == "D0"
 
     def test_variant_named_by_exact_header(self, tmp_path, small_cleansed):
-        ds = build_variant(windows_for_database(small_cleansed), small_cleansed.profiles, "D1")
+        ds = build_variant(windows_for_database(small_cleansed), small_cleansed.profiles).prefix("D1")
         renamed = ["wk" if c == "week" else c for c in ds.column_names]
         path = tmp_path / "d1.csv"
-        write_dataset_csv(TabularDataset("custom", renamed, ds.X, ds.y), path)
+        write_dataset_csv(TabularDataset(renamed, ds.X, ds.y), path)
         assert read_dataset_csv(path).variant == "custom"
-        write_dataset_csv(TabularDataset("custom", ds.column_names, ds.X, ds.y), path)
+        write_dataset_csv(ds, path)
         assert read_dataset_csv(path).variant == "D1"
-
-    def test_wrong_width_for_variant_rejected(self):
-        with pytest.raises(ValueError, match="requires 12 columns"):
-            TabularDataset("D0", ["a", "b"], np.zeros((1, 2)), np.array([0]))
 
     def test_infinite_values_round_trip(self, tmp_path):
         ds = make_dataset([[np.inf, 1.0], [-np.inf, 0.5], [2.0, np.nan]], [0, 1, 0])

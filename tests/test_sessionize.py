@@ -12,11 +12,9 @@ from adherence.sessionize import (
     build_sessions,
     extract_windows,
     label_adherence,
-    read_windows,
     round_active_period,
     sessionize_database,
     windows_for_database,
-    write_windows,
 )
 
 
@@ -40,12 +38,6 @@ class TestRoundActivePeriod:
     def test_sunday_is_fixed_point(self):
         _, sunday = round_active_period(date(2018, 8, 13), date(2021, 3, 14))
         assert sunday == date(2021, 3, 14)
-
-    def test_next_sunday_option(self):
-        _, sunday = round_active_period(date(2018, 8, 13), date(2021, 3, 20), last_rounding="next")
-        assert sunday == date(2021, 3, 21)
-        _, sunday = round_active_period(date(2018, 8, 13), date(2021, 3, 21), last_rounding="next")
-        assert sunday == date(2021, 3, 21)
 
     def test_inverted_dates_error(self):
         with pytest.raises(ValueError, match="inverted"):
@@ -178,9 +170,3 @@ class TestDatabaseWindows:
         samples = windows_for_database(small_cleansed)
         users = [s.user_id for s in samples]
         assert users == sorted(users)
-
-    def test_windows_csv_round_trip(self, tmp_path, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        path = tmp_path / "windows.csv"
-        write_windows(samples, path)
-        assert read_windows(path) == samples

@@ -1,4 +1,4 @@
-"""Pins the exact matrices that build_variant assembles for D0..D6.
+"""Pins the exact matrices of D0..D6: the D6 that build_variant assembles, and its prefixes.
 
 The digests cover each variant's feature matrix (the bytes of X, NaN marking
 nulls), labels and column names on the 60-user synthetic database. A change to
@@ -67,7 +67,7 @@ def test_every_variant_pinned():
 
 @pytest.mark.parametrize("variant", sorted(PINNED))
 def test_build_variant_pinned(samples, small_cleansed, variant):
-    ds = build_variant(samples, small_cleansed.profiles, variant)
+    ds = build_variant(samples, small_cleansed.profiles).prefix(variant)
     assert ds.X.dtype == np.float64 and ds.y.dtype == np.int64
     got = (
         _sha(np.ascontiguousarray(ds.X).tobytes()),
