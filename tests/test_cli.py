@@ -1,10 +1,14 @@
 import argparse
 import csv
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adherence.cli import build_parser, main
 from adherence.features import read_dataset_csv, write_dataset_csv
@@ -410,7 +414,54 @@ def edit_tree(array, edit):
     return apply
 
 
+def not_a_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def malformed_dataset(draw):
+    """The bytes of a valid 8-row dataset (3 features and a label) with one defect no reader may accept."""
+    cells = [[str(draw(st.integers(-9, 9))) for _ in range(3)] + [str(r % 2)] for r in range(8)]
+    row, col = draw(st.integers(0, 7)), draw(st.integers(0, 3))
+    defect = draw(st.sampled_from(["junk", "label", "short", "long", "quote", "bytes", "header"]))
+    if defect == "junk":  # a cell that is not a number; commas, quotes and line ends would change the rows
+        junk = st.characters(blacklist_categories=("Cs",), blacklist_characters=',\r\n"')
+        cells[row][col] = draw(st.text(junk, min_size=1).filter(not_a_float))
+    elif defect == "label":
+        cells[row][-1] = repr(draw(st.floats().filter(lambda v: v not in (0.0, 1.0))))
+    elif defect == "short":
+        del cells[row][col]
+    elif defect == "long":
+        cells[row].insert(col, draw(st.text("0123456789.e-")))
+    elif defect == "quote":  # the quoted cell runs to the end of the file, so the row has one cell
+        cells[row][0] = '"' + cells[row][0]
+    data = "\r\n".join(["f0,f1,f2,A", *map(",".join, cells)]).encode() + b"\r\n"
+    if defect == "bytes":  # never valid UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    if defect == "header":
+        data = draw(st.sampled_from([b"", b"\r\n", b"A\r\n0\r\n1\r\n"]))
+    return data
+
+
 class TestMalformedInputs:
+    @settings(deadline=None)
+    @given(malformed_dataset())
+    def test_fuzzed_dataset_is_one_error_line(self, data):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+            (Path(tmp) / "ds.csv").write_bytes(data)
+            code = run("cv", "--dataset", str(Path(tmp) / "ds.csv"), "--model", "majority", "--k", "2",
+                       "--out", str(Path(tmp) / "o"))
+        lines = err.getvalue().strip().splitlines()
+        assert code in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith("error"), lines
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+
     def trained_model(self, tmp_path, kind):
         rng = np.random.default_rng(8)
         write_dataset_csv(make_dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, 40)), tmp_path / "ds.csv")

@@ -1,15 +1,25 @@
 import math
+import tempfile
+import tracemalloc
 from datetime import date
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from adherence import features
+from adherence.artifact import write_csv
 from adherence.features import (
+    LABEL_COLUMN,
     S_COLUMNS,
     VARIANT_COLUMN_COUNTS,
     VARIANT_COLUMNS,
     VARIANTS,
     TabularDataset,
+    _format_cell,
     build_variant,
     column_mode,
     fit_preprocess,
@@ -220,3 +230,125 @@ class TestCsvRoundTrip:
         assert path.read_text().splitlines()[1:3] == ["inf,1,0", "-inf,0.5,1"]
         back = read_dataset_csv(path)
         assert np.array_equal(back.X, ds.X, equal_nan=True)
+
+
+def cell_by_cell_csv(ds, path):
+    """The writer the blocked one replaced, kept as its reference: one _format_cell per cell, row by row."""
+
+    def rows():
+        for r in range(ds.n_rows):
+            row = [_format_cell(v) for v in ds.X[r].tolist()]
+            if ds.y is not None:
+                row.append(str(int(ds.y[r])))
+            yield row
+
+    write_csv(path, list(ds.column_names) + ([LABEL_COLUMN] if ds.y is not None else []), rows())
+
+
+def awkward_dataset(n_rows=2500, labeled=True):
+    """Rows that span three 1,024-row blocks, with the floats whose text is easiest to get wrong."""
+    rng = np.random.default_rng(13)
+    specials = [np.inf, -np.inf, 1e15 - 1, 1e15, -1e15, 1e16, 5e-324, -5e-324, 0.1 + 0.2, 2.5, -3.0]
+    X = np.column_stack([
+        rng.choice([np.nan, -0.0, 0.0], n_rows),
+        rng.choice(specials, n_rows),
+        rng.normal(size=n_rows),
+        rng.integers(0, 5, n_rows).astype(float),
+    ])
+    if n_rows > 2100:
+        X[2100, 3] = 7.5  # first appears in the last block
+    return make_dataset(X, rng.integers(0, 2, n_rows) if labeled else None)
+
+
+ORACLE_CASES = {
+    "labeled": lambda: awkward_dataset(),
+    "unlabeled": lambda: awkward_dataset(labeled=False),
+    "one-column-with-nan": lambda: make_dataset(np.r_[np.arange(2499.0), np.nan][:, None], None),
+    "zero-rows": lambda: awkward_dataset(0),
+    "zero-rows-unlabeled": lambda: awkward_dataset(0, labeled=False),
+}
+
+
+class TestBlockedCsv:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_bytes_equal_cell_by_cell_writer(self, tmp_path, case):
+        ds = ORACLE_CASES[case]()
+        write_dataset_csv(ds, tmp_path / "blocked.csv")
+        cell_by_cell_csv(ds, tmp_path / "reference.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_awkward_values_and_lone_null_text(self, tmp_path):
+        ds = awkward_dataset()
+        first, zeros = ds.X[:1024, 0], ds.X[:1024, 0][ds.X[:1024, 0] == 0]
+        assert np.isnan(first).any() and np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert 7.5 not in ds.X[:2048, 3]
+        write_dataset_csv(ds, tmp_path / "awkward.csv")
+        text = (tmp_path / "awkward.csv").read_text()
+        for cell in ("inf", "-inf", "999999999999999", "1000000000000000.0", "1e+16", "5e-324", "0.30000000000000004"):
+            assert f",{cell}," in text
+        assert ",-0," not in text and ",-0.0," not in text
+        write_dataset_csv(ORACLE_CASES["one-column-with-nan"](), tmp_path / "one.csv")
+        assert (tmp_path / "one.csv").read_bytes().endswith(b'2498\r\n""\r\n')
+
+    def test_bad_cell_names_its_line_past_the_first_block(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(awkward_dataset(2000), path)
+        lines = path.read_text().splitlines()
+        lines[1499] = "x" + lines[1499]  # the header is line 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"ds.csv: line 1500: could not convert string to float: 'x"):
+            read_dataset_csv(path)
+
+    def test_two_whole_blocks_read_back_exactly(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ds = make_dataset(rng.normal(size=(2048, 3)), rng.integers(0, 2, 2048))
+        write_dataset_csv(ds, tmp_path / "ds.csv")
+        back = read_dataset_csv(tmp_path / "ds.csv")
+        assert back.X.shape == (2048, 3)
+        assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+
+    @pytest.mark.parametrize("header, labeled", [("f0,f1,f2,A", True), ("f0,f1,f2", False)])
+    def test_header_only_file_has_no_rows(self, tmp_path, header, labeled):
+        (tmp_path / "ds.csv").write_text(header + "\r\n")
+        back = read_dataset_csv(tmp_path / "ds.csv")
+        assert back.X.shape == (0, 3) and back.column_names == ["f0", "f1", "f2"]
+        assert back.y.shape == (0,) if labeled else back.y is None
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(0, 11), st.integers(1, 4)),
+            elements=st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e15])),
+        ),
+        st.booleans(),
+    )
+    def test_random_matrices_round_trip(self, X, labeled):
+        y = np.arange(X.shape[0]) % 2 if labeled else None
+        ds = make_dataset(X, y)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(features, "_BLOCK_ROWS", 3):
+            write_dataset_csv(ds, Path(tmp) / "blocked.csv")
+            cell_by_cell_csv(ds, Path(tmp) / "reference.csv")
+            assert (Path(tmp) / "blocked.csv").read_bytes() == (Path(tmp) / "reference.csv").read_bytes()
+            back = read_dataset_csv(Path(tmp) / "blocked.csv")
+        assert np.array_equal(back.X, X, equal_nan=True)
+        assert back.y is None if y is None else np.array_equal(back.y, y)
+
+    def test_memory_is_bounded_by_one_block(self, tmp_path):
+        """Every cell of this matrix formats to its own string, the writer's worst case."""
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(5000, 115))
+        X[rng.random(X.shape) < 0.1] = np.nan
+        ds = make_dataset(X, rng.integers(0, 2, 5000))
+        tracemalloc.start()
+        try:
+            write_dataset_csv(ds, tmp_path / "ds.csv")
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = read_dataset_csv(tmp_path / "ds.csv")
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.X, X, equal_nan=True)
+        assert write_peak < 10e6, write_peak  # one block for all 5,000 rows took 45 MB
+        # the blocks and their joined copy are 2 * X.nbytes; a block of Python floats is 0.8 * X.nbytes here
+        assert read_peak < 2.5 * back.X.nbytes, (read_peak, back.X.nbytes)
