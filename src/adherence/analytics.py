@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LABEL_COLUMN, S_COLUMNS, TabularDataset
+from .features import LABEL_COLUMN, S_COLUMNS, TabularDataset, column_mode
 from .ingestion import (
     DEMOGRAPHIC_FIELDS,
     QUESTIONNAIRE_INSTANCES,
@@ -161,12 +161,11 @@ def demographic_summary(profiles: dict[str, UserProfile]) -> dict[str, FieldSumm
         )
         if values.size == 0:
             raise ValueError(f"no non-null values for demographic field {name!r}")
-        uniq, counts = np.unique(values, return_counts=True)
         out[name] = FieldSummary(
             minimum=float(values.min()),
             maximum=float(values.max()),
             mean=float(values.mean()),
-            mode=float(uniq[np.argmax(counts)]),
+            mode=column_mode(values),
         )
     return out
 

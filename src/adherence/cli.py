@@ -19,7 +19,7 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__, analytics, synthgen
-from .artifact import canonical_json, write_csv, write_json
+from .artifact import canonical_json, read_json, write_csv, write_json
 from .evaluate import cross_validate, write_report
 from .features import (
     LABEL_COLUMN,
@@ -56,14 +56,10 @@ class UsageError(Exception):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"config file not found: {p}")
     try:
-        with open(p, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {p} is not valid JSON: {exc}") from None
+        cfg = read_json(_require(path, "--config file", Path.is_file))
+    except ValueError as exc:
+        raise UsageError(f"bad config file {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     return cfg

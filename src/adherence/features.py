@@ -8,7 +8,6 @@ columns are never scaled; all other ("static") columns are min-max mapped to
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import write_csv
+from .artifact import read_csv, write_csv
 from .ingestion import (
     DEMOGRAPHIC_FIELDS,
     QUESTIONNAIRE_INSTANCES,
@@ -147,6 +146,13 @@ class PreprocessState:
     static: np.ndarray  # bool mask
     fitted_on: int
 
+    def __post_init__(self) -> None:
+        n = len(self.column_names)
+        if [np.shape(a) for a in (self.modes, self.scale_min, self.scale_max, self.static)] != [(n,)] * 4:
+            raise ValueError(f"modes, scale_min, scale_max and static must hold one entry per column ({n})")
+        if np.asarray(self.static).dtype != bool:
+            raise ValueError("static must be a boolean mask")
+
 
 def column_mode(values: np.ndarray) -> float:
     """Most frequent non-null value; ties take the smallest; all-null gives 0."""
@@ -244,41 +250,35 @@ def write_dataset_csv(ds: TabularDataset, path: str | Path) -> None:
 def read_dataset_csv(path: str | Path) -> TabularDataset:
     """Read a dataset CSV; its header names the variant (D0..D6 on an exact match, else "custom")."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    rows = read_csv(path)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise ValueError(f"{path}: empty dataset file, header expected")
+    labeled = bool(header) and header[-1] == LABEL_COLUMN
+    columns = header[:-1] if labeled else header
+    if not columns:
+        raise ValueError(f"{path}: no feature columns in the header")
+    blocks = [np.empty((0, len(columns)))]
+    X_rows = []
+    y_rows = []
+    for line, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line}: {len(row)} cell(s), but the header has {len(header)}")
         try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty dataset file, header expected")
-            labeled = bool(header) and header[-1] == LABEL_COLUMN
-            columns = header[:-1] if labeled else header
-            if not columns:
-                raise ValueError(f"{path}: no feature columns in the header")
-            blocks = [np.empty((0, len(columns)))]
-            X_rows = []
-            y_rows = []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: {len(row)} cell(s), but the header has {len(header)}"
-                    )
-                try:
-                    X_rows.append([math.nan if c == "" else float(c) for c in row[: len(columns)]])
-                    if labeled:
-                        label = float(row[-1])
-                        if label not in (0.0, 1.0):
-                            raise ValueError(f"label {row[-1]!r} is not 0 or 1")
-                        y_rows.append(label == 1.0)  # a bool is shared, a float is 24 bytes per row
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-                if len(X_rows) == _BLOCK_ROWS:
-                    blocks.append(_matrix(X_rows, len(columns)))
-                    X_rows.clear()
+            X_rows.append([math.nan if c == "" else float(c) for c in row[: len(columns)]])
+            if labeled:
+                label = float(row[-1])
+                if label not in (0.0, 1.0):
+                    raise ValueError(f"label {row[-1]!r} is not 0 or 1")
+                y_rows.append(label == 1.0)  # a bool is shared, a float is 24 bytes per row
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+        if len(X_rows) == _BLOCK_ROWS:
             blocks.append(_matrix(X_rows, len(columns)))
-            X_rows.clear()  # free the last block's floats before the blocks are joined
-        except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+            X_rows.clear()
+    blocks.append(_matrix(X_rows, len(columns)))
+    X_rows.clear()  # free the last block's floats before the blocks are joined
     y = np.array(y_rows, dtype=np.int64) if labeled else None
     return TabularDataset(column_names=columns, X=np.concatenate(blocks), y=y)

@@ -7,7 +7,6 @@ comma-separated, first row header. Empty cells mean null.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -15,7 +14,7 @@ from datetime import date, datetime
 from enum import Enum
 from pathlib import Path
 
-from .artifact import write_csv
+from .artifact import read_csv, write_csv
 
 
 class Activity(Enum):
@@ -185,16 +184,13 @@ def _parse_date(raw: str) -> date:
 def _read_table(path: Path, required: list[str], table: str) -> tuple[list[str], list[list[str]]]:
     if not path.exists():
         raise IngestError(f"{table}: missing file {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            rows = list(reader)
-        except csv.Error as exc:  # e.g. a cell longer than the csv module's field limit
-            raise IngestError(f"{table}: {path}: line {reader.line_num}: {exc}") from None
-    if header is None:
+    try:
+        rows = [row for _, row in read_csv(path)]
+    except ValueError as exc:
+        raise IngestError(f"{table}: {exc}") from None
+    if not rows:
         raise IngestError(f"{table}: empty file, header expected")
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in rows.pop(0)]
     missing = [c for c in required if c not in header]
     if missing:
         raise IngestError(f"{table}: missing required column(s) {missing}")
@@ -246,10 +242,7 @@ def _parse_acquisitions(path: Path, activity: Activity, table: str, rejects: lis
 
 
 def _parse_int(raw: str) -> int | None:
-    raw = raw.strip()
-    if not raw:
-        return None
-    return int(raw)
+    return int(raw) if raw.strip() else None  # int() itself ignores surrounding whitespace
 
 
 def _parse_demographics(path: Path, rejects: list[RejectedRow]) -> dict[str, UserProfile]:

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import base64
 import dataclasses
-import json
 import types
 import typing
 from pathlib import Path
 
 import numpy as np
 
-from ..artifact import write_json
+from ..artifact import read_json, write_json
 from ..features import PreprocessState
 from .base import MajorityModel, Model
 from .forest import RandomForest
@@ -52,6 +51,8 @@ def encode_array(a: np.ndarray) -> dict:
 
 
 def decode_array(d: dict) -> np.ndarray:
+    if not isinstance(d["dtype"], str):  # np.dtype(None) would read the bytes as float64
+        raise TypeError(f"array dtype is {d['dtype']!r}, expected a string")
     buf = base64.b64decode(d["data"])
     return np.frombuffer(buf, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
 
@@ -159,10 +160,9 @@ def save_model(model: Model, path: str | Path, preprocess: PreprocessState | Non
 
 def load_model(path: str | Path) -> tuple[Model, PreprocessState | None]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt model file {path}: {exc}") from None
+        doc = read_json(path)
+    except ValueError as exc:
+        raise ValueError(f"corrupt model file {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a model file: {path}")
     if doc.get("format_version") != FORMAT_VERSION:

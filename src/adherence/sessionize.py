@@ -8,6 +8,7 @@ decide the adherence label: high (1) iff at least 2 of them contain activity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
@@ -64,25 +65,19 @@ def round_active_period(first: date, last: date) -> tuple[date, date]:
 def build_sessions(user_id: str, events: list[AcquisitionEvent], period: tuple[date, date]) -> SessionSeries:
     """Per-session distinct-activity counts over the rounded period.
 
-    Events outside the period are ignored. An empty period yields no sessions.
+    Day d of the period falls in session 2 * (d // 7) + (d % 7 >= 4); a session's value
+    is the number of distinct (session, activity) pairs in it. Events outside the period
+    are ignored. An empty period yields no sessions.
     """
     monday, sunday = period
-    sessions: list[Session] = []
-    if sunday < monday:
-        return SessionSeries(user_id=user_id, sessions=sessions)
-    by_day: dict[date, set] = {}
-    for ev in events:
-        by_day.setdefault(ev.timestamp, set()).add(ev.activity)
-    week = monday
-    while week <= sunday:
-        for kind, offsets in ((SessionKind.MON_THU, range(0, 4)), (SessionKind.FRI_SUN, range(4, 7))):
-            activities: set = set()
-            for off in offsets:
-                activities |= by_day.get(week + timedelta(days=off), set())
-            start = week if kind is SessionKind.MON_THU else week + timedelta(days=4)
-            sessions.append(Session(start=start, kind=kind, value=len(activities)))
-        week += timedelta(days=7)
-    return SessionSeries(user_id=user_id, sessions=sessions)
+    n_sessions = 2 * max(0, (sunday - monday).days // 7 + 1)
+    days = {((ev.timestamp - monday).days, ev.activity) for ev in events}
+    values = Counter(s for s, _ in {(2 * (d // 7) + (d % 7 >= 4), activity) for d, activity in days})
+    kinds = (SessionKind.MON_THU, SessionKind.FRI_SUN)
+    return SessionSeries(user_id=user_id, sessions=[
+        Session(start=monday + timedelta(days=7 * (s // 2) + 4 * (s % 2)), kind=kinds[s % 2], value=values[s])
+        for s in range(n_sessions)
+    ])
 
 
 def label_adherence(fs: tuple[int, ...] | list[int]) -> int:
@@ -100,18 +95,10 @@ def extract_windows(series: SessionSeries) -> list[WindowSample]:
     values = [s.value for s in series.sessions]
     samples: list[WindowSample] = []
     for i in range(len(values) - WINDOW_SPAN + 1):
-        s = tuple(values[i : i + WINDOW_SESSIONS])
-        raw_future = values[i + WINDOW_SESSIONS : i + WINDOW_SPAN]
-        fs = tuple(1 if v >= 1 else 0 for v in raw_future)
-        samples.append(
-            WindowSample(
-                user_id=series.user_id,
-                values=s,
-                future=fs,
-                label=label_adherence(fs),
-                window_end_date=series.sessions[i + WINDOW_SESSIONS - 1].start,
-            )
-        )
+        fs = tuple(int(v >= 1) for v in values[i + WINDOW_SESSIONS : i + WINDOW_SPAN])
+        samples.append(WindowSample(user_id=series.user_id, values=tuple(values[i : i + WINDOW_SESSIONS]), future=fs,
+                                    label=label_adherence(fs),
+                                    window_end_date=series.sessions[i + WINDOW_SESSIONS - 1].start))
     return samples
 
 
@@ -128,10 +115,7 @@ def sessionize_database(db: RawDatabase) -> list[SessionSeries]:
 
 def windows_for_database(db: RawDatabase) -> list[WindowSample]:
     """Sessionize every user and extract all windows, merged in user_id order."""
-    samples: list[WindowSample] = []
-    for series in sessionize_database(db):
-        samples.extend(extract_windows(series))
-    return samples
+    return [sample for series in sessionize_database(db) for sample in extract_windows(series)]
 
 
 def write_windows(samples: list[WindowSample], path: str | Path) -> None:

@@ -27,6 +27,7 @@ COMMANDS = [
 
 # Text that encodes a file's bytes; only adherence/artifact.py may hold it.
 ENCODERS = ("csv.writer(", "json.dump(", "json.dumps(", ".write_text(")
+DECODERS = ("open(", "csv.reader(", "json.load(")  # json.load( does not match json.loads(
 
 DIGESTS = {
     "built/cleanse_report.csv": "fa7d58ecf2f2bca361e4147a4654deee0a207816fb4f14e1ea42e66c2d6d56ce",
@@ -96,12 +97,13 @@ def test_every_artifact_pinned(tmp_path, monkeypatch):
 
 
 def test_only_the_artifact_module_encodes():
+    """Only artifact.py writes a file's bytes, or opens and decodes one."""
     package = Path(adherence.__file__).parent
     offenders = [
         f"{path.relative_to(package)}: {needle}"
         for path in sorted(package.rglob("*.py"))
         if path != package / "artifact.py"
-        for needle in ENCODERS
+        for needle in ENCODERS + DECODERS
         if needle in path.read_text(encoding="utf-8")
     ]
     assert offenders == []

@@ -1,7 +1,10 @@
 import argparse
 import csv
+import functools
 import io
 import json
+import operator
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -414,6 +417,14 @@ def edit_tree(array, edit):
     return apply
 
 
+def preprocess_block(**arrays):
+    """The preprocess block of a model on columns f0..f2, with the arrays given replacing its own."""
+    arrays = {"modes": np.zeros(3), "scale_min": np.zeros(3), "scale_max": np.ones(3),
+              "static": np.ones(3, dtype=bool), **arrays}
+    return {"column_names": ["f0", "f1", "f2"], "fitted_on": 40,
+            **{name: encode_array(a) for name, a in arrays.items()}}
+
+
 def not_a_float(text):
     try:
         float(text)
@@ -448,6 +459,89 @@ def malformed_dataset(draw):
     return data
 
 
+@st.composite
+def malformed_table(draw, db):
+    """The name of one of the database's tables in directory db, and its bytes with one defect."""
+    table = draw(st.sampled_from(sorted(path.stem for path in db.glob("*.csv"))))  # a file's stem is its table
+    lines = (db / f"{table}.csv").read_bytes().decode().split("\r\n")[:-1]
+    defect = draw(st.sampled_from(["bytes", "short", "junk", "quote", "empty"]))
+    row = draw(st.integers(1, len(lines) - 1))  # a data row, so a row defect is a reject
+    cells = lines[row].split(",")
+    if defect == "short":  # user_id stays, so the row is not blank
+        del cells[draw(st.integers(1, len(cells) - 1))]
+    elif defect == "junk":  # into a date or integer cell: every column but user_id (0) and status (1)
+        first = 2 if table == "demographics" else 1
+        cells[draw(st.integers(first, len(cells) - 1))] = draw(st.text("xyz!?", min_size=1))
+    elif defect == "quote":  # the quoted cell runs to the end of the file
+        cells[0] = '"' + cells[0]
+    lines[row] = ",".join(cells)
+    data = "\r\n".join(lines).encode() + b"\r\n"
+    if defect == "bytes":  # never valid UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return table, defect, b"" if defect == "empty" else data
+
+
+def json_paths(doc, path=()):
+    """The key path of every value inside doc, containers included."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield (*path, key)
+        yield from json_paths(child, (*path, key))
+
+
+JSON_TYPES = {type(None): None, bool: True, int: 7, float: 0.5, str: "x", list: [1], dict: {"a": 1}}
+
+
+@st.composite
+def mutated_model(draw, models):
+    """A model kind and the document of its model in models/<kind>/model.json with one field replaced."""
+    kind = draw(st.sampled_from(["forest", "knn", "gbt", "majority", "tree", "mlp"]))
+    doc = json.loads((models / kind / "model.json").read_text())
+    paths = list(json_paths(doc))
+    at = lambda path: functools.reduce(operator.getitem, path, doc)  # noqa: E731
+    arrays = [p for p in paths if isinstance(at(p), dict) and at(p).keys() == {"dtype", "shape", "data"}]
+    if draw(st.booleans()):  # a value of another JSON type
+        path = draw(st.sampled_from(paths))
+        parent = at(path[:-1])
+        kinds = [t for t in JSON_TYPES if not isinstance(parent[path[-1]], t)]
+        parent[path[-1]] = JSON_TYPES[draw(st.sampled_from(kinds))]
+    else:  # an array of another dtype or length
+        path = draw(st.sampled_from(arrays))
+        parent = at(path[:-1])
+        a = decode_array(parent[path[-1]])
+        if draw(st.booleans()):
+            a = a.astype(draw(st.sampled_from([t for t in ("<f8", "<f4", "<i8", "<i4", "|b1") if t != a.dtype.str])))
+        else:
+            a = a[:-1] if draw(st.booleans()) else np.concatenate([a, a[-1:]])  # every array has a row
+        parent[path[-1]] = encode_array(a)
+    return kind, path, doc
+
+
+@pytest.fixture(scope="module")
+def database(tmp_path_factory, small_db):
+    """The directory of the small database's twelve tables."""
+    from adherence.ingestion import write_database
+
+    d = tmp_path_factory.mktemp("db")
+    write_database(small_db, d)
+    return d
+
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    """A directory with a small dataset ds.csv and <kind>/model.json trained on it with preprocessing."""
+    d = tmp_path_factory.mktemp("models")
+    rng = np.random.default_rng(8)
+    write_dataset_csv(make_dataset(rng.normal(size=(40, 3)), rng.integers(0, 2, 40)), d / "ds.csv")
+    configs = {"mlp": {"hidden_layers": [2], "max_epochs": 1}, "forest": {"n_trees": 3}, "gbt": {"n_rounds": 3}}
+    for kind in ("forest", "knn", "gbt", "majority", "tree", "mlp"):
+        (d / "train.json").write_text(json.dumps({"model": configs.get(kind, {})}))
+        assert run("train", "--dataset", str(d / "ds.csv"), "--model", kind, "--config", str(d / "train.json"),
+                   "--out", str(d / kind)) == 0
+    return d
+
+
 class TestMalformedInputs:
     @settings(deadline=None)
     @given(malformed_dataset())
@@ -460,7 +554,45 @@ class TestMalformedInputs:
         lines = err.getvalue().strip().splitlines()
         assert code in (1, 2)
         assert len(lines) == 1 and lines[0].startswith("error"), lines
+        assert f"{Path(tmp) / 'ds.csv'}: " in lines[0] and "line 0" not in lines[0], lines
         assert "Traceback" not in out.getvalue() + err.getvalue()
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_fuzzed_database_is_one_error_line(self, database, data):
+        """A reject leaves exit 0 and one rejected row; a file-level defect is one line naming the table."""
+        table, defect, broken = data.draw(malformed_table(database))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+            db = shutil.copytree(database, Path(tmp) / "db")
+            (db / f"{table}.csv").write_bytes(broken)
+            code = run("ingest", "--db", str(db), "--out", str(Path(tmp) / "o"))
+            rejected = json.loads((Path(tmp) / "o" / "ingest_summary.json").read_text())["n_rejected_rows"] \
+                if code == 0 else None
+        lines = err.getvalue().strip().splitlines()
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if defect in ("short", "junk") or (code == 0 and defect == "quote"):
+            assert (code, lines, rejected) == (0, [], 1)
+        else:
+            assert code == 1 and len(lines) == 1, lines
+            assert lines[0].startswith(f"error [ingest/ingestion]: {table}: "), lines
+            if defect == "bytes":
+                assert lines[0].endswith(f"{db / table}.csv: not UTF-8 text (invalid start byte)")
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data())
+    def test_fuzzed_model_file_is_one_error_line(self, models, data):
+        """A field of another JSON type, or an array of another dtype or length, fails as one line or loads."""
+        kind, path, doc = data.draw(mutated_model(models))
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+            (Path(tmp) / "model.json").write_text(json.dumps(doc))
+            code = run("predict", "--model-file", str(Path(tmp) / "model.json"), "--dataset", str(models / "ds.csv"),
+                       "--out", str(Path(tmp) / "p"))
+        lines = err.getvalue().strip().splitlines()
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert (code, lines) == (0, []) or (code in (1, 2) and len(lines) == 1 and lines[0].startswith("error")), \
+            (kind, path, code, lines)
 
     def trained_model(self, tmp_path, kind):
         rng = np.random.default_rng(8)
@@ -486,6 +618,14 @@ class TestMalformedInputs:
             ("tree", "format_version", 1, "unsupported model format version 1"),
             ("tree", "preprocess", {}, "{path}: bad preprocess block (KeyError('column_names'))"),
             ("tree", "preprocess", [], "{path}: bad preprocess block (TypeError("),
+            ("tree", "preprocess", preprocess_block(static=np.ones(3)),
+             "{path}: bad preprocess block (ValueError('static must be a boolean mask'))"),
+            ("tree", "preprocess", preprocess_block(static=np.ones(2, dtype=bool)),
+             "{path}: bad preprocess block (ValueError('modes, scale_min, scale_max and static must hold one entry "
+             "per column (3)'))"),
+            ("tree", "preprocess", preprocess_block(modes=np.zeros(2)),
+             "{path}: bad preprocess block (ValueError('modes, scale_min, scale_max and static must hold one entry "
+             "per column (3)'))"),
             ("tree", "params", edit_tree("left", lambda a: np.r_[1000, a[1:]]),
              "{path}: bad tree params (ValueError('tree child index out of order or range'))"),
             ("tree", "params", edit_tree("left", lambda a: np.r_[0, a[1:]]),
@@ -494,6 +634,8 @@ class TestMalformedInputs:
              "{path}: bad tree params (ValueError('tree feature outside [-1, 3)'))"),
             ("tree", "params", edit_tree("value", lambda a: a[:-1]),
              "{path}: bad tree params (ValueError('tree arrays have the wrong lengths'))"),
+            ("tree", "params", lambda p: p["tree"]["feature"].update(dtype=None),
+             "{path}: bad tree params (TypeError('array dtype is None, expected a string'))"),
             ("knn", "params", lambda p: p.update(y=encode_array(decode_array(p["y"])[:-1])),
              "{path}: bad knn params (ValueError('knn arrays must be X (n, 3) and y (n,) with n >= k=30'))"),
             ("majority", "params", {"p1": "nan"}, "probabilities must be finite"),
@@ -504,8 +646,8 @@ class TestMalformedInputs:
         ],
         ids=["no-kind", "no-config", "no-n_features", "no-feature_names", "no-params",
              "str-n_features", "list-params", "empty-params", "format-version-1",
-             "empty-preprocess", "list-preprocess",
-             "child-out-of-range", "own-left-child", "feature-99", "short-value",
+             "empty-preprocess", "list-preprocess", "float-static", "short-static", "short-modes",
+             "child-out-of-range", "own-left-child", "feature-99", "short-value", "null-dtype",
              "knn-short-y", "majority-nan-p1", "mlp-unknown-dtype", "mlp-no-layers"],
     )
     def test_bad_model_file_is_one_error_line(self, tmp_path, capsys, kind, key, value, message):
@@ -582,6 +724,46 @@ class TestMalformedInputs:
         assert code == expected[0]
         assert captured.err.strip().splitlines() == [f"{expected[1]}bad {kind} config: {message}"]
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("command", ["cv", "ingest", "generate", "predict"])
+    def test_undecodable_file_is_one_error_line(self, tmp_path, capsys, db_dir, command):
+        """A byte that is not UTF-8 ends in one line naming the file; a config file exits 2, the others 1."""
+        model = self.trained_model(tmp_path, "tree")
+        rng = np.random.default_rng(3)
+        write_dataset_csv(make_dataset(rng.normal(size=(600, 3)), rng.integers(0, 2, 600)), tmp_path / "big.csv")
+        (tmp_path / "cfg.json").write_text(json.dumps({"generate": {"n_users": 3}}))
+        path, argv, code, prefix = {
+            "cv": (tmp_path / "big.csv", ["--dataset", str(tmp_path / "big.csv"), "--model", "majority"], 1,
+                   "error [cv]: "),
+            "ingest": (db_dir / "demographics.csv", ["--db", str(db_dir)], 1,
+                       "error [ingest/ingestion]: demographics: "),
+            "generate": (tmp_path / "cfg.json", ["--config", str(tmp_path / "cfg.json")], 2, "error: bad config file "),
+            "predict": (model, ["--model-file", str(model), "--dataset", str(tmp_path / "ds.csv")], 1,
+                        "error [predict]: corrupt model file "),
+        }[command]
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 20] + b"\xff" + data[len(data) - 20 :])  # past the first 8 KiB chunk of big.csv
+        capsys.readouterr()
+        assert run(command, *argv, "--out", str(tmp_path / "o")) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"{prefix}{path}: not UTF-8 text (invalid start byte)"]
+        assert "Traceback" not in captured.out
+
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_config_that_is_not_a_file_is_usage_error(self, tmp_path, capsys, name):
+        capsys.readouterr()
+        assert run("generate", "--config", str(tmp_path / name), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: --config file does not exist: {tmp_path / name}"]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """CSV and JSON input alike may start with a UTF-8 byte-order mark."""
+        model = self.trained_model(tmp_path, "tree")
+        for path in (model, tmp_path / "ds.csv"):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        (tmp_path / "cfg.json").write_bytes(b"\xef\xbb\xbf" + json.dumps({"generate": {"n_users": 3}}).encode())
+        assert run("generate", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "g")) == 0
+        assert run("predict", "--model-file", str(model), "--dataset", str(tmp_path / "ds.csv"),
+                   "--out", str(tmp_path / "p")) == 0
 
     def test_oversized_dataset_cell_is_one_error_line(self, tmp_path, capsys):
         path = tmp_path / "ds.csv"
