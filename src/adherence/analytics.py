@@ -9,14 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LABEL_COLUMN, S_COLUMNS, TabularDataset, column_mode
+from .features import LABEL_COLUMN, S_COLUMNS, STATIC_COLUMNS, TabularDataset, column_mode, static_matrix
 from .ingestion import (
     DEMOGRAPHIC_FIELDS,
     QUESTIONNAIRE_INSTANCES,
     QUESTIONNAIRE_ITEMS,
     UserProfile,
 )
-from .sessionize import WINDOW_SESSIONS, WindowSample
+from .sessionize import WINDOW_SESSIONS, Windows
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -89,21 +89,20 @@ def cronbach_alpha(items: np.ndarray, questionnaire: str = "", instance: int = 0
     return AlphaReport(questionnaire, instance, float(alpha), n)
 
 
+def _answers(static: np.ndarray, qid: str, instance: int) -> np.ndarray:
+    """The users x items answers of one questionnaire instance, sliced from a static_matrix."""
+    start = STATIC_COLUMNS.index(f"{qid}{instance}_q1")
+    return static[:, start : start + QUESTIONNAIRE_ITEMS[qid]]
+
+
+_INSTANCES = [(qid, instance) for qid in sorted(QUESTIONNAIRE_ITEMS) for instance in QUESTIONNAIRE_INSTANCES[qid]]
+
+
 def questionnaire_alpha_reports(profiles: dict[str, UserProfile]) -> list[AlphaReport]:
-    """One alpha per administered questionnaire instance (7 rows)."""
-    reports = []
-    users = sorted(profiles)
-    for qid in sorted(QUESTIONNAIRE_ITEMS):
-        for instance in QUESTIONNAIRE_INSTANCES[qid]:
-            matrix = np.array(
-                [
-                    [math.nan if a is None else float(a) for a in profiles[u].items_for(qid, instance)]
-                    for u in users
-                ],
-                dtype=np.float64,
-            ).reshape(len(users), QUESTIONNAIRE_ITEMS[qid])
-            reports.append(cronbach_alpha(matrix, questionnaire=qid, instance=instance))
-    return reports
+    """One alpha per administered questionnaire instance (7 rows), over users in user_id order."""
+    static = static_matrix(profiles, sorted(profiles))
+    return [cronbach_alpha(_answers(static, qid, instance), questionnaire=qid, instance=instance)
+            for qid, instance in _INSTANCES]
 
 
 @dataclass
@@ -124,22 +123,17 @@ def _group_label(item_indices: list[int], n_items: int) -> str:
 
 def null_rates(profiles: dict[str, UserProfile]) -> list[NullRateRow]:
     """Percentage of users with null answers, grouped by items sharing a rate."""
-    users = sorted(profiles)
     rows: list[NullRateRow] = []
-    if not users:
+    if not profiles:
         return rows
-    for qid in sorted(QUESTIONNAIRE_ITEMS):
-        n_items = QUESTIONNAIRE_ITEMS[qid]
-        for instance in QUESTIONNAIRE_INSTANCES[qid]:
-            pct = []
-            for i in range(n_items):
-                nulls = sum(1 for u in users if profiles[u].items_for(qid, instance)[i] is None)
-                pct.append(round(100.0 * nulls / len(users), 10))
-            groups: dict[float, list[int]] = {}
-            for i, p in enumerate(pct, start=1):
-                groups.setdefault(p, []).append(i)
-            for p, idxs in sorted(groups.items(), key=lambda kv: kv[1][0]):
-                rows.append(NullRateRow(qid, _group_label(idxs, n_items), instance, p))
+    static = static_matrix(profiles, list(profiles))
+    for qid, instance in _INSTANCES:
+        nulls = np.isnan(_answers(static, qid, instance)).sum(axis=0).tolist()  # Python ints for round()
+        groups: dict[float, list[int]] = {}
+        for i, n in enumerate(nulls, start=1):
+            groups.setdefault(round(100.0 * n / len(profiles), 10), []).append(i)
+        for p, idxs in sorted(groups.items(), key=lambda kv: kv[1][0]):
+            rows.append(NullRateRow(qid, _group_label(idxs, QUESTIONNAIRE_ITEMS[qid]), instance, p))
     return rows
 
 
@@ -154,11 +148,9 @@ class FieldSummary:
 def demographic_summary(profiles: dict[str, UserProfile]) -> dict[str, FieldSummary]:
     """Min/max/mean/mode per demographic field over non-null values."""
     out: dict[str, FieldSummary] = {}
-    for name in DEMOGRAPHIC_FIELDS:
-        values = np.array(
-            [getattr(p, name) for p in profiles.values() if getattr(p, name) is not None],
-            dtype=np.float64,
-        )
+    static = static_matrix(profiles, list(profiles))
+    for name, column in zip(DEMOGRAPHIC_FIELDS, static.T):
+        values = column[~np.isnan(column)]
         if values.size == 0:
             raise ValueError(f"no non-null values for demographic field {name!r}")
         out[name] = FieldSummary(
@@ -186,15 +178,13 @@ class AcquisitionStats:
     bins: list[HistogramBin]
 
 
-def acquisition_distribution(samples: list[WindowSample]) -> AcquisitionStats:
+def acquisition_distribution(windows: Windows) -> AcquisitionStats:
     """Distribution of the per-user average number of acquisitions per window, in bins of 1."""
-    if not samples:
+    if not len(windows):
         raise ValueError("no window samples")
-    sums: dict[str, list[int]] = {}
-    for s in samples:
-        sums.setdefault(s.user_id, []).append(sum(s.values))
-    per_user = {u: float(np.mean(v)) for u, v in sorted(sums.items())}
-    values = np.array(list(per_user.values()))
+    users, user_row = np.unique(windows.user_id, return_inverse=True)
+    values = np.bincount(user_row, weights=windows.values.sum(axis=1)) / np.bincount(user_row)
+    per_user = dict(zip(users.tolist(), values.tolist()))
     top = 4.0 * WINDOW_SESSIONS
     edges = np.arange(0.0, top + 1.0)
     counts, _ = np.histogram(values, bins=edges)

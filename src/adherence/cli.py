@@ -177,28 +177,28 @@ def _pick_variants(variant: str | None) -> list[str]:
 def cmd_build(args, cfg: dict, out: Path):
     variants = _pick_variants(_setting(cfg, "variant", str, flag=args.variant))
     db_dir, db, cleansed, report = _ingest(args)
-    samples = windows_for_database(cleansed)
-    if not samples:
+    windows = windows_for_database(cleansed)
+    if not windows:
         print("warning: no window samples produced (empty or too-short database)", file=sys.stderr)
-    write_windows(samples, out / "windows.csv")
+    write_windows(windows, out / "windows.csv")
     write_rejects(db.rejects, out / "rejects.csv")
     write_cleanse_report(report, out / "cleanse_report.csv")
     outputs = ["windows.csv", "rejects.csv", "cleanse_report.csv"]
-    d6 = build_variant(samples, cleansed.profiles)
+    d6 = build_variant(windows, cleansed.profiles)
     for variant in variants:
         name = f"dataset_{variant}.csv"
         write_dataset_csv(d6.prefix(variant), out / name)
         outputs.append(name)
-    print(f"built {len(samples)} windows into {len(variants)} dataset variant(s) -> {out}")
+    print(f"built {len(windows)} windows into {len(variants)} dataset variant(s) -> {out}")
     return {"db": str(db_dir), "variants": variants}, outputs
 
 
 def cmd_stats(args, cfg: dict, out: Path):
     [variant] = _pick_variants(_setting(cfg, "variant", str, "D0", flag=args.variant))
     db_dir, _, cleansed, report = _ingest(args)
-    samples = windows_for_database(cleansed)
+    windows = windows_for_database(cleansed)
     outputs: list[str] = []
-    stats_doc: dict = {"n_users": report.n_retained, "n_windows": len(samples)}
+    stats_doc: dict = {"n_users": report.n_retained, "n_windows": len(windows)}
 
     def table(name: str, header: list, rows, doc=None) -> None:
         """Write <name>.csv, and record doc under name in stats.json unless it is None."""
@@ -223,13 +223,13 @@ def cmd_stats(args, cfg: dict, out: Path):
           ([name, s.minimum, s.maximum, f"{s.mean:.4f}", s.mode] for name, s in demo.items()),
           {k: dataclasses.asdict(v) for k, v in demo.items()})
 
-    if samples:
-        dist = analytics.acquisition_distribution(samples)
+    if windows:
+        dist = analytics.acquisition_distribution(windows)
         table("acquisition_distribution", ["bin_start", "bin_end", "count"],
               ([b.start, b.end, b.count] for b in dist.bins),
               {"mean": dist.mean, "min": dist.minimum, "max": dist.maximum})
 
-        d6 = build_variant(samples, cleansed.profiles)
+        d6 = build_variant(windows, cleansed.profiles)
         corr, names = analytics.session_correlation_matrix(d6.prefix("D0"))
         table("session_correlation", ["", *names],
               ([name, *("" if math.isnan(v) else repr(float(v)) for v in row)]

@@ -23,7 +23,7 @@ from .ingestion import (
     QUESTIONNAIRE_ITEMS,
     UserProfile,
 )
-from .sessionize import WINDOW_SESSIONS, WindowSample
+from .sessionize import WINDOW_SESSIONS, Windows
 
 S_COLUMNS = [f"S{i}" for i in range(1, WINDOW_SESSIONS + 1)]
 TIMESTAMP_COLUMNS = ["week", "month", "year"]
@@ -46,6 +46,8 @@ _D6_COLUMNS = [c for block in _BLOCKS for c in block]
 VARIANTS = [f"D{k}" for k in range(len(_BLOCKS))]
 VARIANT_COLUMN_COUNTS = dict(zip(VARIANTS, accumulate(map(len, _BLOCKS))))
 VARIANT_COLUMNS = {name: _D6_COLUMNS[:n] for name, n in VARIANT_COLUMN_COUNTS.items()}
+# The per-user columns of D6 after the timestamps: demographics, then the questionnaires.
+STATIC_COLUMNS = _D6_COLUMNS[VARIANT_COLUMN_COUNTS["D1"] :]
 
 
 @dataclass
@@ -99,11 +101,6 @@ class TabularDataset:
         return np.array([not _S_PATTERN.match(c) for c in self.column_names], dtype=bool)
 
 
-def _timestamp_features(sample: WindowSample) -> list[float]:
-    iso = sample.window_end_date.isocalendar()
-    return [float(iso.week), float(sample.window_end_date.month), float(sample.window_end_date.year)]
-
-
 def _static_features(profile: UserProfile) -> list[float]:
     """The user's D6 values after the timestamps: demographics, then every questionnaire."""
     values = [getattr(profile, f) for f in DEMOGRAPHIC_FIELDS]
@@ -117,24 +114,25 @@ def _matrix(rows: list, width: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
-def build_variant(samples: list[WindowSample], profiles: dict[str, UserProfile]) -> TabularDataset:
-    """Assemble D6 from its sessions, timestamps and each user's static values; nulls stay NaN.
-
-    Every other variant is a prefix of it: ``build_variant(samples, profiles).prefix("D3")``.
-    """
-    users = list(dict.fromkeys(s.user_id for s in samples))
+def static_matrix(profiles: dict[str, UserProfile], users: list[str]) -> np.ndarray:
+    """One row of STATIC_COLUMNS per user: demographics, then every questionnaire's answers; nulls are NaN."""
     unknown = [u for u in users if u not in profiles]
     if unknown:
         raise ValueError(f"unknown user_id {unknown[0]!r}")
-    static = _matrix([_static_features(profiles[u]) for u in users], len(_D6_COLUMNS) - VARIANT_COLUMN_COUNTS["D1"])
-    row_of = {u: i for i, u in enumerate(users)}
-    X = np.hstack([
-        _matrix([s.values for s in samples], len(S_COLUMNS)),
-        _matrix([_timestamp_features(s) for s in samples], len(TIMESTAMP_COLUMNS)),
-        static[[row_of[s.user_id] for s in samples]],
-    ])
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return TabularDataset(column_names=list(_D6_COLUMNS), X=X, y=y)
+    return _matrix([_static_features(profiles[u]) for u in users], len(STATIC_COLUMNS))
+
+
+def build_variant(windows: Windows, profiles: dict[str, UserProfile]) -> TabularDataset:
+    """Assemble D6 from its sessions, timestamps and each user's static values; nulls stay NaN.
+
+    Every other variant is a prefix of it: ``build_variant(windows, profiles).prefix("D3")``.
+    The timestamps (ISO week, month, year) are computed once per distinct window end date.
+    """
+    users, user_row = np.unique(windows.user_id, return_inverse=True)
+    dates, date_row = np.unique(windows.end_date, return_inverse=True)
+    stamps = _matrix([[d.isocalendar().week, d.month, d.year] for d in dates.tolist()], len(TIMESTAMP_COLUMNS))
+    X = np.hstack([windows.values, stamps[date_row], static_matrix(profiles, users.tolist())[user_row]])
+    return TabularDataset(column_names=list(_D6_COLUMNS), X=X, y=windows.label)
 
 
 @dataclass

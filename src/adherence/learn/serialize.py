@@ -57,7 +57,9 @@ def decode_array(d: dict) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
 
 
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "importance")
+# A tree's node arrays and the dtype _Tree holds each in; a stored array of another dtype is refused, not cast.
+_TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
+                "value": np.float64, "importance": np.float64}
 
 
 def _pack_tree(tree: _Tree) -> dict:
@@ -66,7 +68,11 @@ def _pack_tree(tree: _Tree) -> dict:
 
 def _unpack_tree(d: dict, n_features: int) -> _Tree:
     """A tree whose predict loop stays in range and ends: each internal node's children come after it."""
-    tree = _Tree(*(decode_array(d[k]) for k in _TREE_ARRAYS))
+    arrays = {k: decode_array(d[k]) for k in _TREE_ARRAYS}
+    for k, dtype in _TREE_ARRAYS.items():
+        if arrays[k].dtype != dtype:
+            raise ValueError(f"tree {k} array has dtype {arrays[k].dtype}, expected {np.dtype(dtype)}")
+    tree = _Tree(**arrays)
     n = tree.n_nodes
     if n == 0 or [getattr(tree, k).shape for k in _TREE_ARRAYS] != [(n,)] * 5 + [(n_features,)]:
         raise ValueError("tree arrays have the wrong lengths")  # five per node, importance per feature

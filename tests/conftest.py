@@ -9,6 +9,7 @@ import pytest
 
 from adherence import ingestion, synthgen
 from adherence.features import TabularDataset
+from adherence.sessionize import Windows
 
 
 SMALL_SYNTH = dict(
@@ -44,6 +45,14 @@ def make_dataset(X, y, columns=None):
     if columns is None:
         columns = [f"f{i}" for i in range(X.shape[1])]
     return TabularDataset(column_names=list(columns), X=X, y=None if y is None else np.asarray(y))
+
+
+def make_windows(*rows):
+    """A Windows table with one row per (user_id, values, future, label, end_date) tuple."""
+    users, values, future, labels, ends = zip(*rows) if rows else ((),) * 5
+    return Windows(user_id=np.array(users, dtype=str), values=np.array(values, dtype=np.int64).reshape(-1, 12),
+                   future=np.array(future, dtype=np.int64).reshape(-1, 3), label=np.array(labels, dtype=np.int64),
+                   end_date=np.array(ends, dtype="datetime64[D]"))
 
 
 def random_imbalanced(rng, n_rows, n_cols, pos_fraction=0.2):

@@ -8,7 +8,7 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from adherence.learn import (
     RandomForest,
 )
 from adherence.resample import ResampleConfig, adasyn_allocation, oversample
-from adherence.sessionize import Session, SessionKind, SessionSeries, extract_windows, label_adherence, windows_for_database
+from adherence.sessionize import extract_windows, label_adherence, windows_for_database
 
 from conftest import make_dataset
 from test_knn import brute_force_knn_proba
@@ -76,42 +76,32 @@ def test_criterion_2_accuracy_identity():
             assert pooled == pytest.approx(printed_acc, abs=tol), name
 
 
-def _random_series(rng, length):
-    sessions = []
-    start = date(2018, 8, 13)
-    for i in range(length):
-        kind = SessionKind.MON_THU if i % 2 == 0 else SessionKind.FRI_SUN
-        offset = timedelta(days=(i // 2) * 7 + (0 if i % 2 == 0 else 4))
-        sessions.append(Session(start + offset, kind, int(rng.integers(0, 5))))
-    return SessionSeries(user_id="u", sessions=sessions)
-
-
 def test_criterion_3_labeling_oracles():
     with criterion(3, "adherence labeling matches truth table; windows match naive enumeration"):
         for fs in itertools.product((0, 1), repeat=3):
             assert label_adherence(fs) == (0 if sum(fs) < 2 else 1)
         rng = np.random.default_rng(1003)
         for _ in range(1000):
-            series = _random_series(rng, int(rng.integers(0, 31)))
-            values = [s.value for s in series.sessions]
+            values = [int(rng.integers(0, 5)) for _ in range(int(rng.integers(0, 31)))]
             naive = []
             for i in range(max(0, len(values) - 14)):
                 chunk = values[i : i + 15]
                 fs = tuple(1 if v >= 1 else 0 for v in chunk[12:])
                 naive.append((tuple(chunk[:12]), fs, 0 if sum(fs) < 2 else 1))
-            got = [(s.values, s.future, s.label) for s in extract_windows(series)]
+            w = extract_windows("u", np.array(values, dtype=np.int64), date(2018, 8, 13))
+            got = list(zip(map(tuple, w.values.tolist()), map(tuple, w.future.tolist()), w.label.tolist()))
             assert got == naive
 
 
 def test_criterion_4_dataset_shape_contract(small_cleansed):
     with criterion(4, "variants D0..D6 have exactly 12/15/22/34/74/84/115 feature columns"):
         assert VARIANT_COLUMN_COUNTS == {"D0": 12, "D1": 15, "D2": 22, "D3": 34, "D4": 74, "D5": 84, "D6": 115}
-        samples = windows_for_database(small_cleansed)
-        d6 = build_variant(samples, small_cleansed.profiles)
+        windows = windows_for_database(small_cleansed)
+        d6 = build_variant(windows, small_cleansed.profiles)
         for variant, expected in VARIANT_COLUMN_COUNTS.items():
             ds = d6.prefix(variant)
             assert ds.n_cols == expected
-            assert ds.n_rows == len(samples)
+            assert ds.n_rows == len(windows)
 
 
 def test_criterion_5_oversampler_suite():

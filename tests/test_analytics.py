@@ -17,10 +17,10 @@ from adherence.analytics import (
 )
 from adherence.features import build_variant
 from adherence.ingestion import UserProfile
-from adherence.sessionize import WindowSample, windows_for_database
+from adherence.sessionize import windows_for_database
 from datetime import date
 
-from conftest import make_dataset
+from conftest import make_dataset, make_windows
 
 
 class TestPearson:
@@ -60,8 +60,8 @@ class TestPearson:
 
 class TestSessionCorrelationMatrix:
     def test_shape_diagonal_symmetry(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles).prefix("D0")
         corr, names = session_correlation_matrix(ds)
         assert corr.shape == (13, 13)
         assert names[-1] == "A"
@@ -69,8 +69,8 @@ class TestSessionCorrelationMatrix:
         assert np.array_equal(corr, corr.T)
 
     def test_recency_structure(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles).prefix("D0")
         corr, _ = session_correlation_matrix(ds)
         assert corr[11, 12] > corr[0, 12]
 
@@ -217,34 +217,33 @@ class TestDemographicSummary:
 
 
 def window(user, values, label=0):
-    return WindowSample(user_id=user, values=tuple(values), future=(0, 0, 0) if label == 0 else (1, 1, 0),
-                        label=label, window_end_date=date(2018, 11, 5))
+    """One row for make_windows."""
+    return (user, values, (0, 0, 0) if label == 0 else (1, 1, 0), label, date(2018, 11, 5))
 
 
 class TestAcquisitionDistribution:
     def test_single_window(self):
-        stats = acquisition_distribution([window("u", [1] + [0] * 11)])
+        stats = acquisition_distribution(make_windows(window("u", [1] + [0] * 11)))
         assert stats.per_user_mean == {"u": 1.0}
         assert stats.mean == stats.minimum == stats.maximum == 1.0
 
     def test_all_zero(self):
-        stats = acquisition_distribution([window("u", [0] * 12)])
+        stats = acquisition_distribution(make_windows(window("u", [0] * 12)))
         assert stats.mean == 0.0
 
     def test_per_user_mean_of_sums(self):
-        samples = [window("u", [4] + [0] * 11), window("u", [3, 3] + [0] * 10)]
-        stats = acquisition_distribution(samples)
+        stats = acquisition_distribution(make_windows(window("u", [4] + [0] * 11), window("u", [3, 3] + [0] * 10)))
         assert stats.per_user_mean == {"u": 5.0}
 
     def test_bins_cover_range_and_sum(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        stats = acquisition_distribution(samples)
+        windows = windows_for_database(small_cleansed)
+        stats = acquisition_distribution(windows)
         assert sum(b.count for b in stats.bins) == len(stats.per_user_mean)
         assert all(0.0 <= m <= 48.0 for m in stats.per_user_mean.values())
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
-            acquisition_distribution([])
+            acquisition_distribution(make_windows())
 
 
 class TestDuplicateAnalysis:
@@ -263,21 +262,21 @@ class TestDuplicateAnalysis:
         assert report.duplicates == []
 
     def test_multiplicities_sum_to_rows(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles).prefix("D0")
         report = duplicate_analysis(ds)
         assert sum(m * c for m, c in report.multiplicity_histogram.items()) == ds.n_rows
 
     def test_binarized_d0_within_4096(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles).prefix("D0")
         binarized = make_dataset((ds.X >= 1).astype(float), ds.y, columns=ds.column_names)
         report = duplicate_analysis(binarized)
         assert report.n_distinct <= 4096
 
     def test_permutation_invariant(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles).prefix("D0")
         rng = np.random.default_rng(0)
         perm = rng.permutation(ds.n_rows)
         shuffled = make_dataset(ds.X[perm], ds.y[perm], columns=ds.column_names)

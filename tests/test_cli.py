@@ -634,6 +634,10 @@ class TestMalformedInputs:
              "{path}: bad tree params (ValueError('tree feature outside [-1, 3)'))"),
             ("tree", "params", edit_tree("value", lambda a: a[:-1]),
              "{path}: bad tree params (ValueError('tree arrays have the wrong lengths'))"),
+            ("tree", "params", edit_tree("feature", lambda a: np.r_[a[:-1], -1.5]),
+             "{path}: bad tree params (ValueError('tree feature array has dtype float64, expected int64'))"),
+            ("tree", "params", edit_tree("feature", lambda a: np.r_[a[:-1], np.nan]),
+             "{path}: bad tree params (ValueError('tree feature array has dtype float64, expected int64'))"),
             ("tree", "params", lambda p: p["tree"]["feature"].update(dtype=None),
              "{path}: bad tree params (TypeError('array dtype is None, expected a string'))"),
             ("knn", "params", lambda p: p.update(y=encode_array(decode_array(p["y"])[:-1])),
@@ -647,7 +651,8 @@ class TestMalformedInputs:
         ids=["no-kind", "no-config", "no-n_features", "no-feature_names", "no-params",
              "str-n_features", "list-params", "empty-params", "format-version-1",
              "empty-preprocess", "list-preprocess", "float-static", "short-static", "short-modes",
-             "child-out-of-range", "own-left-child", "feature-99", "short-value", "null-dtype",
+             "child-out-of-range", "own-left-child", "feature-99", "short-value", "float-feature", "nan-feature",
+             "null-dtype",
              "knn-short-y", "majority-nan-p1", "mlp-unknown-dtype", "mlp-no-layers"],
     )
     def test_bad_model_file_is_one_error_line(self, tmp_path, capsys, kind, key, value, message):

@@ -210,8 +210,8 @@ class TestCrossValidate:
         from adherence.features import build_variant
         from adherence.sessionize import windows_for_database
 
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles).prefix("D3")
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles).prefix("D3")
         assert np.isnan(ds.X).any()
         report = cross_validate(ds, ForestConfig(n_trees=5), k=5, seed=10)
         assert report.pooled.accuracy > 0.0
@@ -221,8 +221,8 @@ class TestCrossValidate:
         from adherence.learn import GbtConfig, KnnConfig
         from adherence.sessionize import windows_for_database
 
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles).prefix("D0")
         gbt = cross_validate(ds, GbtConfig(n_rounds=10, max_depth=3), k=5, seed=11)
         knn = cross_validate(ds, KnnConfig(k=5), k=5, seed=11)
         for rep in (gbt, knn):

@@ -15,6 +15,7 @@ from adherence.artifact import write_csv
 from adherence.features import (
     LABEL_COLUMN,
     S_COLUMNS,
+    STATIC_COLUMNS,
     VARIANT_COLUMN_COUNTS,
     VARIANT_COLUMNS,
     VARIANTS,
@@ -24,21 +25,25 @@ from adherence.features import (
     column_mode,
     fit_preprocess,
     read_dataset_csv,
+    static_matrix,
     transform,
     write_dataset_csv,
 )
 from adherence.ingestion import UserProfile
-from adherence.sessionize import WindowSample
 from adherence.sessionize import windows_for_database
 
-from conftest import make_dataset
+from conftest import make_dataset, make_windows
 
 
 EXPECTED_COUNTS = {"D0": 12, "D1": 15, "D2": 22, "D3": 34, "D4": 74, "D5": 84, "D6": 115}
 
 
+SAMPLE_VALUES = (1, 0, 2, 0, 0, 3, 0, 1, 0, 0, 4, 2)
+
+
 def sample_for(user_id="u1", end=date(2018, 11, 5)):
-    return WindowSample(user_id=user_id, values=(1, 0, 2, 0, 0, 3, 0, 1, 0, 0, 4, 2), future=(1, 1, 0), label=1, window_end_date=end)
+    """A one-window table."""
+    return make_windows((user_id, SAMPLE_VALUES, (1, 1, 0), 1, end))
 
 
 def profile_for(user_id="u1"):
@@ -61,12 +66,12 @@ class TestVariantColumns:
         assert VARIANT_COLUMN_COUNTS == EXPECTED_COUNTS
 
     def test_counts_on_synthetic_pipeline(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        d6 = build_variant(samples, small_cleansed.profiles)
+        windows = windows_for_database(small_cleansed)
+        d6 = build_variant(windows, small_cleansed.profiles)
         for variant, count in EXPECTED_COUNTS.items():
             ds = d6.prefix(variant)
             assert ds.n_cols == count
-            assert ds.n_rows == len(samples)
+            assert ds.n_rows == len(windows)
             assert ds.variant == variant
         assert make_dataset(d6.X[:, :13], d6.y, columns=d6.column_names[:13]).variant == "custom"
 
@@ -76,12 +81,12 @@ class TestVariantColumns:
             assert b[: len(a)] == a and len(b) > len(a)
 
     def test_unknown_variant(self):
-        d6 = build_variant([sample_for()], {"u1": profile_for()})
+        d6 = build_variant(sample_for(), {"u1": profile_for()})
         with pytest.raises(ValueError, match="'D7' is not a column prefix"):
             d6.prefix("D7")
 
     def test_prefix_of_a_narrower_dataset_rejected(self):
-        d2 = build_variant([sample_for()], {"u1": profile_for()}).prefix("D2")
+        d2 = build_variant(sample_for(), {"u1": profile_for()}).prefix("D2")
         assert d2.prefix("D1").column_names == VARIANT_COLUMNS["D1"]
         with pytest.raises(ValueError, match="'D3' is not a column prefix"):
             d2.prefix("D3")
@@ -90,24 +95,41 @@ class TestVariantColumns:
             renamed.prefix("D0")
 
     def test_user_id_never_a_feature(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles)
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles)
         assert "user_id" not in ds.column_names
 
 
 class TestBuildVariant:
     def test_unknown_user_errors(self):
         with pytest.raises(ValueError, match="unknown user_id"):
-            build_variant([sample_for("ghost")], {"u1": profile_for()})
+            build_variant(sample_for("ghost"), {"u1": profile_for()})
 
     def test_timestamp_features(self):
-        ds = build_variant([sample_for(end=date(2018, 11, 5))], {"u1": profile_for()})
+        ds = build_variant(sample_for(end=date(2018, 11, 5)), {"u1": profile_for()})
         week, month, year = ds.X[0, 12:15]
         assert (week, month, year) == (45, 11, 2018)
 
+    def test_timestamps_per_window_over_repeated_dates(self):
+        ends = [date(2019, 12, 30), date(2018, 11, 5), date(2019, 12, 30), date(2019, 1, 4)]
+        windows = make_windows(*((u, SAMPLE_VALUES, (1, 1, 0), 1, d) for u, d in zip(["u2", "u1", "u1", "u2"], ends)))
+        ds = build_variant(windows, {"u1": profile_for("u1"), "u2": UserProfile("u2")})
+        assert ds.X[:, 12:15].tolist() == [[1, 12, 2019], [45, 11, 2018], [1, 12, 2019], [1, 1, 2019]]
+        assert ds.X[[1, 2], 15].tolist() == [1943, 1943]  # u1's birth year; u2 has no static value
+        assert np.isnan(ds.X[[0, 3], 15:]).all()
+
+    def test_static_matrix_rows_follow_users(self):
+        profiles = {"u1": profile_for("u1"), "u2": UserProfile("u2", birth_year=1950)}
+        m = static_matrix(profiles, ["u2", "u1"])
+        assert m.shape == (2, len(STATIC_COLUMNS)) and STATIC_COLUMNS == VARIANT_COLUMNS["D6"][15:]
+        assert m[0, 0] == 1950 and np.isnan(m[0, 1:]).all()
+        assert m[1, STATIC_COLUMNS.index("spq1_q3")] == 3 and np.isnan(m[1, STATIC_COLUMNS.index("spq3_q3")])
+        with pytest.raises(ValueError, match="unknown user_id 'ghost'"):
+            static_matrix(profiles, ["u1", "ghost"])
+
     def test_nulls_become_nan(self):
         # ucla instance 1 unanswered -> NaN block in D4
-        ds = build_variant([sample_for()], {"u1": profile_for()}).prefix("D4")
+        ds = build_variant(sample_for(), {"u1": profile_for()}).prefix("D4")
         cols = ds.column_names
         ucla1 = [i for i, c in enumerate(cols) if c.startswith("ucla1_")]
         ucla3 = [i for i, c in enumerate(cols) if c.startswith("ucla3_")]
@@ -116,11 +138,11 @@ class TestBuildVariant:
 
     def test_d0_needs_no_profiles(self):
         # D0 uses no profile value, but D6, which D0 is cut from, needs every window's user.
-        ds = build_variant([sample_for()], {"u1": UserProfile("u1")}).prefix("D0")
+        ds = build_variant(sample_for(), {"u1": UserProfile("u1")}).prefix("D0")
         assert ds.n_cols == 12
-        assert list(ds.X[0]) == list(map(float, sample_for().values))
+        assert list(ds.X[0]) == list(map(float, SAMPLE_VALUES))
         with pytest.raises(ValueError, match="unknown user_id 'ghost'"):
-            build_variant([sample_for("ghost")], {})
+            build_variant(sample_for("ghost"), {})
 
 
 class TestPreprocess:
@@ -160,8 +182,8 @@ class TestPreprocess:
         assert np.array_equal(out.X, X)
 
     def test_imputation_and_range(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles)
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles)
         state = fit_preprocess(ds)
         out = transform(ds, state)
         assert not np.isnan(out.X).any()
@@ -188,8 +210,8 @@ class TestPreprocess:
 
 class TestCsvRoundTrip:
     def test_round_trip_values_and_metadata(self, tmp_path, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles).prefix("D3")
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles).prefix("D3")
         path = tmp_path / "d3.csv"
         write_dataset_csv(ds, path)
         back = read_dataset_csv(path)
@@ -208,8 +230,8 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.X, ds.X)
 
     def test_variant_inferred_without_sidecar(self, tmp_path, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        ds = build_variant(samples, small_cleansed.profiles).prefix("D0")
+        windows = windows_for_database(small_cleansed)
+        ds = build_variant(windows, small_cleansed.profiles).prefix("D0")
         path = tmp_path / "d0.csv"
         write_dataset_csv(ds, path)
         assert read_dataset_csv(path).variant == "D0"

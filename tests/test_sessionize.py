@@ -1,25 +1,88 @@
 import itertools
+from collections import Counter
+from dataclasses import dataclass
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from adherence.ingestion import Activity, AcquisitionEvent
+from adherence.ingestion import Activity, AcquisitionEvent, RawDatabase
 from adherence.sessionize import (
-    Session,
-    SessionKind,
-    SessionSeries,
-    build_sessions,
     extract_windows,
     label_adherence,
     round_active_period,
-    sessionize_database,
+    session_values,
     windows_for_database,
 )
 
 
 def ev(user, activity, d):
     return AcquisitionEvent(user, activity, d)
+
+
+# The record-based sessionizer that windows_for_database replaced, kept as the reference:
+# one Session per half week, one WindowSample per window.
+
+@dataclass(frozen=True)
+class Session:
+    start: date
+    value: int
+
+
+@dataclass(frozen=True)
+class WindowSample:
+    user_id: str
+    values: tuple
+    future: tuple
+    label: int
+    window_end_date: date
+
+
+def reference_sessions(events, period):
+    monday, sunday = period
+    n_sessions = 2 * max(0, (sunday - monday).days // 7 + 1)
+    days = {((e.timestamp - monday).days, e.activity) for e in events}
+    values = Counter(s for s, _ in {(2 * (d // 7) + (d % 7 >= 4), activity) for d, activity in days})
+    return [Session(monday + timedelta(days=7 * (s // 2) + 4 * (s % 2)), values[s]) for s in range(n_sessions)]
+
+
+def reference_windows(user_id, sessions):
+    values = [s.value for s in sessions]
+    samples = []
+    for i in range(len(values) - 15 + 1):
+        fs = tuple(int(v >= 1) for v in values[i + 12 : i + 15])
+        samples.append(WindowSample(user_id, tuple(values[i : i + 12]), fs, 0 if sum(fs) < 2 else 1,
+                                    sessions[i + 11].start))
+    return samples
+
+
+def reference_database_windows(events):
+    by_user = {}
+    for e in events:
+        by_user.setdefault(e.user_id, []).append(e)
+    out = []
+    for user_id, user_events in sorted(by_user.items()):
+        period = round_active_period(min(e.timestamp for e in user_events), max(e.timestamp for e in user_events))
+        out += reference_windows(user_id, reference_sessions(user_events, period))
+    return out
+
+
+@st.composite
+def event_sets(draw):
+    """Events of 1-4 users: a first day on any weekday, a span of 0-150 days (many under 15 sessions),
+    repeated (day, activity) events, and sometimes all four activities on one day."""
+    events = []
+    for u in range(draw(st.integers(1, 4))):
+        first = date(2018, 8, 13) + timedelta(days=draw(st.integers(0, 6)))
+        span = draw(st.integers(0, 150))
+        days = [0, span, *draw(st.lists(st.integers(0, span), max_size=40))]
+        user = [ev(f"u{u}", draw(st.sampled_from(list(Activity))), first + timedelta(days=d)) for d in days]
+        for _ in range(draw(st.integers(0, 2))):
+            day = first + timedelta(days=draw(st.integers(0, span)))
+            user += [ev(f"u{u}", a, day) for a in Activity]
+        events += user + draw(st.lists(st.sampled_from(user), max_size=5))  # exact repeats
+    return draw(st.permutations(events))
 
 
 class TestRoundActivePeriod:
@@ -47,8 +110,7 @@ class TestRoundActivePeriod:
         # Wed..Thu of one week: previous Sunday precedes that week's Monday.
         monday, sunday = round_active_period(date(2018, 8, 15), date(2018, 8, 16))
         assert sunday < monday
-        series = build_sessions("u", [], (monday, sunday))
-        assert series.sessions == []
+        assert len(session_values([], (monday, sunday))) == 0
 
     @given(st.dates(min_value=date(2015, 1, 1), max_value=date(2025, 1, 1)), st.integers(0, 400))
     def test_boundaries_are_calendar_correct(self, first, span):
@@ -66,42 +128,33 @@ class TestBuildSessions:
             ev("u", Activity.BRAIN_GAMES, date(2018, 8, 15)),
             ev("u", Activity.PHYSICAL, date(2018, 8, 14)),
         ]
-        series = build_sessions("u", events, (date(2018, 8, 13), date(2018, 8, 19)))
-        assert [s.value for s in series.sessions] == [2, 0]
+        assert session_values(events, (date(2018, 8, 13), date(2018, 8, 19))).tolist() == [2, 0]
 
     def test_empty_week_both_sessions_zero(self):
-        series = build_sessions("u", [], (date(2018, 8, 13), date(2018, 8, 26)))
-        assert [s.value for s in series.sessions] == [0, 0, 0, 0]
+        assert session_values([], (date(2018, 8, 13), date(2018, 8, 26))).tolist() == [0, 0, 0, 0]
 
     def test_all_four_on_friday(self):
         events = [ev("u", a, date(2018, 8, 17)) for a in Activity]
-        series = build_sessions("u", events, (date(2018, 8, 13), date(2018, 8, 19)))
-        assert [s.value for s in series.sessions] == [0, 4]
+        assert session_values(events, (date(2018, 8, 13), date(2018, 8, 19))).tolist() == [0, 4]
 
     def test_events_outside_period_ignored(self):
-        events = [ev("u", Activity.PHYSICAL, date(2018, 8, 10))]
-        series = build_sessions("u", events, (date(2018, 8, 13), date(2018, 8, 19)))
-        assert [s.value for s in series.sessions] == [0, 0]
+        events = [ev("u", Activity.PHYSICAL, date(2018, 8, 10)), ev("u", Activity.PHYSICAL, date(2018, 8, 20))]
+        assert session_values(events, (date(2018, 8, 13), date(2018, 8, 19))).tolist() == [0, 0]
 
     def test_sessions_alternate_and_dates_contiguous(self):
-        series = build_sessions("u", [], (date(2018, 8, 13), date(2018, 9, 9)))
-        kinds = [s.kind for s in series.sessions]
-        assert kinds == [SessionKind.MON_THU, SessionKind.FRI_SUN] * 4
-        for a, b in zip(series.sessions, series.sessions[1:]):
-            gap = (b.start - a.start).days
-            assert gap == (4 if a.kind is SessionKind.MON_THU else 3)
+        # one user active Monday 2018-08-13 to Sunday 2018-12-30: 40 sessions, 26 windows, whose
+        # end dates are the starts of sessions 11..36
+        events = [ev("u", Activity.PHYSICAL, date(2018, 8, 13)), ev("u", Activity.PHYSICAL, date(2018, 12, 30))]
+        ends = windows_for_database(RawDatabase(events, {})).end_date.tolist()
+        assert len(ends) == 26 and ends[0] == date(2018, 9, 21)
+        assert [d.weekday() for d in ends] == [4, 0] * 13
+        for a, b in zip(ends, ends[1:]):
+            assert (b - a).days == (4 if a.weekday() == 0 else 3)
 
 
 def series_of(values, user="u"):
-    sessions = []
-    start = date(2018, 8, 13)
-    for i, v in enumerate(values):
-        if i % 2 == 0:
-            sessions.append(Session(start, SessionKind.MON_THU, v))
-        else:
-            sessions.append(Session(start + timedelta(days=4), SessionKind.FRI_SUN, v))
-            start += timedelta(days=7)
-    return SessionSeries(user_id=user, sessions=sessions)
+    """The windows of a series of session values that starts on Monday 2018-08-13."""
+    return extract_windows(user, np.array(values, dtype=np.int64), date(2018, 8, 13))
 
 
 class TestLabelAdherence:
@@ -113,6 +166,8 @@ class TestLabelAdherence:
             assert label_adherence(fs) == expected
             ones += label_adherence(fs)
         assert ones == 4  # 4 of the 8 combinations map to each class
+        table = list(itertools.product((0, 1), repeat=3))
+        assert label_adherence(table).tolist() == [int(sum(fs) >= 2) for fs in table]  # along the last axis
 
     def test_examples(self):
         assert label_adherence((0, 0, 1)) == 0
@@ -120,37 +175,39 @@ class TestLabelAdherence:
         assert label_adherence((1, 1, 1)) == 1
 
     def test_out_of_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
             label_adherence((0, 2, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 3 future indicators"):
             label_adherence((1, 1))
 
 
 class TestExtractWindows:
     def test_fifteen_sessions_one_sample(self):
-        assert len(extract_windows(series_of([1] * 15))) == 1
+        assert len(series_of([1] * 15)) == 1
 
     def test_fourteen_sessions_no_sample(self):
-        assert extract_windows(series_of([1] * 14)) == []
+        w = series_of([1] * 14)
+        assert len(w) == 0
+        assert w.values.shape == (0, 12) and w.future.shape == (0, 3) and w.end_date.shape == (0,)
 
     def test_future_binarized_before_sum(self):
         # raw futures (0,2,0) binarize to (0,1,0): one active session -> low
-        samples = extract_windows(series_of([1] * 12 + [0, 2, 0]))
-        assert samples[0].future == (0, 1, 0)
-        assert samples[0].label == 0
+        w = series_of([1] * 12 + [0, 2, 0])
+        assert w.future[0].tolist() == [0, 1, 0]
+        assert w.label[0] == 0
 
     def test_window_end_date_is_twelfth_session_start(self):
-        series = series_of(list(range(15)))
-        sample = extract_windows(series)[0]
-        assert sample.window_end_date == series.sessions[11].start
+        # session 11 (the 12th) is the Friday-Sunday half of week 5
+        w = series_of(list(range(15)))
+        assert w.end_date.tolist() == [date(2018, 8, 13) + timedelta(days=7 * 5 + 4)]
 
     def test_window_count_formula(self):
         for n in (0, 5, 14, 15, 16, 29, 30):
-            assert len(extract_windows(series_of([1] * n))) == max(0, n - 14)
+            assert len(series_of([1] * n)) == max(0, n - 14)
 
     @given(st.lists(st.integers(0, 4), max_size=30))
     def test_matches_naive_enumeration(self, values):
-        samples = extract_windows(series_of(values))
+        w = series_of(values)
         naive = []
         for i in range(len(values)):
             chunk = values[i : i + 15]
@@ -158,15 +215,46 @@ class TestExtractWindows:
                 break
             fs = tuple(1 if v >= 1 else 0 for v in chunk[12:])
             naive.append((tuple(chunk[:12]), fs, 0 if sum(fs) < 2 else 1))
-        assert [(s.values, s.future, s.label) for s in samples] == naive
+        assert list(zip(map(tuple, w.values.tolist()), map(tuple, w.future.tolist()), w.label.tolist())) == naive
 
 
 class TestDatabaseWindows:
     def test_session_values_bounded(self, small_cleansed):
-        for series in sessionize_database(small_cleansed):
-            assert all(0 <= s.value <= 4 for s in series.sessions)
+        for events in small_cleansed.events_by_user().values():
+            period = round_active_period(min(e.timestamp for e in events), max(e.timestamp for e in events))
+            values = session_values(events, period)
+            assert ((0 <= values) & (values <= 4)).all()
 
     def test_windows_merged_in_user_order(self, small_cleansed):
-        samples = windows_for_database(small_cleansed)
-        users = [s.user_id for s in samples]
+        users = windows_for_database(small_cleansed).user_id.tolist()
         assert users == sorted(users)
+
+    def test_iterates_rows_as_python_values(self):
+        w = series_of([1] * 12 + [0, 2, 0, 3])
+        rows = list(w)
+        assert [tuple(r) for r in rows] == [
+            ("u", [1] * 12, [0, 1, 0], 0, date(2018, 9, 21)),
+            ("u", [1] * 11 + [0], [1, 0, 1], 1, date(2018, 9, 24)),
+        ]
+        assert rows[1].user_id == "u" and rows[1].label == 1 and list(series_of([1] * 14)) == []
+
+    def test_no_database_windows_keeps_column_shapes(self):
+        w = windows_for_database(RawDatabase([ev("u", Activity.PHYSICAL, date(2018, 8, 13))], {}))
+        assert len(w) == 0
+        assert [c.shape for c in (w.user_id, w.values, w.future, w.label, w.end_date)] == \
+            [(0,), (0, 12), (0, 3), (0,), (0,)]
+        assert [c.dtype.kind for c in (w.user_id, w.values, w.future, w.label)] == ["U", "i", "i", "i"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(event_sets())
+    def test_matches_record_reference(self, events):
+        ref = reference_database_windows(events)
+        w = windows_for_database(RawDatabase(list(events), {}))
+        assert len(w) == len(ref)
+        assert [c.dtype.kind for c in (w.user_id, w.values, w.future, w.label)] == ["U", "i", "i", "i"]
+        assert w.end_date.dtype == np.dtype("datetime64[D]")
+        assert w.user_id.tolist() == [s.user_id for s in ref]
+        assert w.values.tolist() == [list(s.values) for s in ref]
+        assert w.future.tolist() == [list(s.future) for s in ref]
+        assert w.label.tolist() == [s.label for s in ref]
+        assert w.end_date.tolist() == [s.window_end_date for s in ref]

@@ -78,8 +78,8 @@ class TestGeneratedShape:
         cfg = SynthConfig(seed=3, n_users=80, dropout_hazard=1.0, waning_sessions=0)
         db = generate(cfg)
         cleansed, _ = cleanse(db)
-        samples = windows_for_database(cleansed)
-        assert sum(s.label for s in samples) == 0  # no high-adherence windows at all
+        windows = windows_for_database(cleansed)
+        assert windows.label.sum() == 0  # no high-adherence windows at all
         by_user = db.events_by_user()
         for events in by_user.values():
             days = {e.timestamp for e in events}
@@ -98,8 +98,7 @@ class TestGeneratedShape:
     def test_majority_low_adherence_on_defaults(self):
         cfg = SynthConfig(seed=7, n_users=120)
         cleansed, _ = cleanse(generate(cfg))
-        samples = windows_for_database(cleansed)
-        labels = [s.label for s in samples]
+        labels = windows_for_database(cleansed).label.tolist()
         assert len(labels) > 100
         assert sum(labels) / len(labels) < 0.5
 
