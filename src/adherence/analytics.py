@@ -9,13 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LABEL_COLUMN, S_COLUMNS, STATIC_COLUMNS, TabularDataset, column_mode, static_matrix
-from .ingestion import (
-    DEMOGRAPHIC_FIELDS,
-    QUESTIONNAIRE_INSTANCES,
-    QUESTIONNAIRE_ITEMS,
-    UserProfile,
-)
+from .features import LABEL_COLUMN, S_COLUMNS, TabularDataset, column_mode
+from .ingestion import DEMOGRAPHIC_FIELDS, QUESTIONNAIRE_INSTANCES, QUESTIONNAIRE_ITEMS, Profiles, answer_columns
 from .sessionize import WINDOW_SESSIONS, Windows
 
 
@@ -89,19 +84,12 @@ def cronbach_alpha(items: np.ndarray, questionnaire: str = "", instance: int = 0
     return AlphaReport(questionnaire, instance, float(alpha), n)
 
 
-def _answers(static: np.ndarray, qid: str, instance: int) -> np.ndarray:
-    """The users x items answers of one questionnaire instance, sliced from a static_matrix."""
-    start = STATIC_COLUMNS.index(f"{qid}{instance}_q1")
-    return static[:, start : start + QUESTIONNAIRE_ITEMS[qid]]
-
-
 _INSTANCES = [(qid, instance) for qid in sorted(QUESTIONNAIRE_ITEMS) for instance in QUESTIONNAIRE_INSTANCES[qid]]
 
 
-def questionnaire_alpha_reports(profiles: dict[str, UserProfile]) -> list[AlphaReport]:
+def questionnaire_alpha_reports(profiles: Profiles) -> list[AlphaReport]:
     """One alpha per administered questionnaire instance (7 rows), over users in user_id order."""
-    static = static_matrix(profiles, sorted(profiles))
-    return [cronbach_alpha(_answers(static, qid, instance), questionnaire=qid, instance=instance)
+    return [cronbach_alpha(profiles.static[:, answer_columns(qid, instance)], questionnaire=qid, instance=instance)
             for qid, instance in _INSTANCES]
 
 
@@ -121,14 +109,13 @@ def _group_label(item_indices: list[int], n_items: int) -> str:
     return ", ".join(f"Q{i}" for i in item_indices)
 
 
-def null_rates(profiles: dict[str, UserProfile]) -> list[NullRateRow]:
+def null_rates(profiles: Profiles) -> list[NullRateRow]:
     """Percentage of users with null answers, grouped by items sharing a rate."""
     rows: list[NullRateRow] = []
-    if not profiles:
+    if not len(profiles):
         return rows
-    static = static_matrix(profiles, list(profiles))
     for qid, instance in _INSTANCES:
-        nulls = np.isnan(_answers(static, qid, instance)).sum(axis=0).tolist()  # Python ints for round()
+        nulls = np.isnan(profiles.static[:, answer_columns(qid, instance)]).sum(axis=0).tolist()  # ints for round()
         groups: dict[float, list[int]] = {}
         for i, n in enumerate(nulls, start=1):
             groups.setdefault(round(100.0 * n / len(profiles), 10), []).append(i)
@@ -145,11 +132,10 @@ class FieldSummary:
     mode: float
 
 
-def demographic_summary(profiles: dict[str, UserProfile]) -> dict[str, FieldSummary]:
+def demographic_summary(profiles: Profiles) -> dict[str, FieldSummary]:
     """Min/max/mean/mode per demographic field over non-null values."""
     out: dict[str, FieldSummary] = {}
-    static = static_matrix(profiles, list(profiles))
-    for name, column in zip(DEMOGRAPHIC_FIELDS, static.T):
+    for name, column in zip(DEMOGRAPHIC_FIELDS, profiles.static.T):
         values = column[~np.isnan(column)]
         if values.size == 0:
             raise ValueError(f"no non-null values for demographic field {name!r}")
@@ -217,23 +203,22 @@ class DuplicateReport:
 
 
 def duplicate_analysis(ds: TabularDataset) -> DuplicateReport:
-    """Group rows by exact feature-tuple equality and split labels per group."""
+    """Group rows by exact feature-tuple equality and split labels per group.
+
+    Rows are compared as raw bytes (a void view of each row), so 0.0 and -0.0
+    differ and NaNs with equal bit patterns group together.
+    """
     y = ds.y if ds.y is not None else np.zeros(ds.n_rows, dtype=np.int64)
-    groups: dict[bytes, list[int]] = {}
-    for r in range(ds.n_rows):
-        groups.setdefault(ds.X[r].tobytes(), []).append(r)
-    histogram: dict[int, int] = {}
-    duplicates: list[tuple[int, int, int, bytes]] = []
-    for key, rows in groups.items():
-        m = len(rows)
-        histogram[m] = histogram.get(m, 0) + 1
-        if m >= 2:
-            n_high = int(sum(y[r] for r in rows))
-            duplicates.append((m, m - n_high, n_high, key))
-    duplicates.sort(key=lambda t: (-t[0], t[1], t[2], t[3]))
+    rows = ds.X.view(np.dtype((np.void, ds.X.itemsize * ds.n_cols))).ravel()
+    _, group, multiplicity = np.unique(rows, return_inverse=True, return_counts=True)
+    n_high = np.bincount(group, weights=y, minlength=len(multiplicity)).astype(np.int64)
+    dup = multiplicity >= 2
+    # most frequent first, then fewer low labels, then fewer high ones
+    order = np.lexsort((n_high[dup], multiplicity[dup] - n_high[dup], -multiplicity[dup]))
+    groups = zip(multiplicity[dup][order].tolist(), n_high[dup][order].tolist())
     return DuplicateReport(
         n_rows=ds.n_rows,
-        n_distinct=len(groups),
-        multiplicity_histogram=dict(sorted(histogram.items())),
-        duplicates=[DuplicateGroup(m, lo, hi) for m, lo, hi, _ in duplicates],
+        n_distinct=len(multiplicity),
+        multiplicity_histogram=dict(zip(*(a.tolist() for a in np.unique(multiplicity, return_counts=True)))),
+        duplicates=[DuplicateGroup(m, m - n, n) for m, n in groups],
     )

@@ -17,12 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import read_csv, write_csv
-from .ingestion import (
-    DEMOGRAPHIC_FIELDS,
-    QUESTIONNAIRE_INSTANCES,
-    QUESTIONNAIRE_ITEMS,
-    UserProfile,
-)
+from .ingestion import STATIC_BLOCKS, Profiles
 from .sessionize import WINDOW_SESSIONS, Windows
 
 S_COLUMNS = [f"S{i}" for i in range(1, WINDOW_SESSIONS + 1)]
@@ -32,22 +27,14 @@ LABEL_COLUMN = "A"
 _S_PATTERN = re.compile(r"^S\d+$")
 
 
-def _questionnaire_block(qid: str) -> list[str]:
-    items = range(1, QUESTIONNAIRE_ITEMS[qid] + 1)
-    return [f"{qid}{instance}_q{i}" for instance in QUESTIONNAIRE_INSTANCES[qid] for i in items]
-
-
-# The questionnaires of D3..D6, in the order their blocks are appended.
-_QUESTIONNAIRES = ("spq", "ucla", "eq5d3l", "utaut")
-# The schema: variant Dk holds blocks 0..k, so every variant is a prefix of D6.
-_BLOCKS = [S_COLUMNS, TIMESTAMP_COLUMNS, list(DEMOGRAPHIC_FIELDS), *map(_questionnaire_block, _QUESTIONNAIRES)]
+# The schema: variant Dk holds blocks 0..k, so every variant is a prefix of D6. The blocks after
+# the timestamps hold each user's static values, in the order ingestion stores them.
+_BLOCKS = [S_COLUMNS, TIMESTAMP_COLUMNS, *STATIC_BLOCKS]
 _D6_COLUMNS = [c for block in _BLOCKS for c in block]
 
 VARIANTS = [f"D{k}" for k in range(len(_BLOCKS))]
 VARIANT_COLUMN_COUNTS = dict(zip(VARIANTS, accumulate(map(len, _BLOCKS))))
 VARIANT_COLUMNS = {name: _D6_COLUMNS[:n] for name, n in VARIANT_COLUMN_COUNTS.items()}
-# The per-user columns of D6 after the timestamps: demographics, then the questionnaires.
-STATIC_COLUMNS = _D6_COLUMNS[VARIANT_COLUMN_COUNTS["D1"] :]
 
 
 @dataclass
@@ -101,37 +88,28 @@ class TabularDataset:
         return np.array([not _S_PATTERN.match(c) for c in self.column_names], dtype=bool)
 
 
-def _static_features(profile: UserProfile) -> list[float]:
-    """The user's D6 values after the timestamps: demographics, then every questionnaire."""
-    values = [getattr(profile, f) for f in DEMOGRAPHIC_FIELDS]
-    for qid in _QUESTIONNAIRES:
-        for instance in QUESTIONNAIRE_INSTANCES[qid]:
-            values += profile.items_for(qid, instance)
-    return [math.nan if v is None else float(v) for v in values]
-
-
 def _matrix(rows: list, width: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
-def static_matrix(profiles: dict[str, UserProfile], users: list[str]) -> np.ndarray:
-    """One row of STATIC_COLUMNS per user: demographics, then every questionnaire's answers; nulls are NaN."""
-    unknown = [u for u in users if u not in profiles]
-    if unknown:
-        raise ValueError(f"unknown user_id {unknown[0]!r}")
-    return _matrix([_static_features(profiles[u]) for u in users], len(STATIC_COLUMNS))
+def static_matrix(profiles: Profiles, users) -> np.ndarray:
+    """The row of STATIC_COLUMNS of each user in users, gathered from profiles.static; nulls are NaN."""
+    users = np.asarray(users, dtype=str)
+    unknown = users[~np.isin(users, profiles.user_id)]
+    if len(unknown):
+        raise ValueError(f"unknown user_id {unknown[0].item()!r}")
+    return profiles.static[np.searchsorted(profiles.user_id, users)]
 
 
-def build_variant(windows: Windows, profiles: dict[str, UserProfile]) -> TabularDataset:
+def build_variant(windows: Windows, profiles: Profiles) -> TabularDataset:
     """Assemble D6 from its sessions, timestamps and each user's static values; nulls stay NaN.
 
     Every other variant is a prefix of it: ``build_variant(windows, profiles).prefix("D3")``.
     The timestamps (ISO week, month, year) are computed once per distinct window end date.
     """
-    users, user_row = np.unique(windows.user_id, return_inverse=True)
     dates, date_row = np.unique(windows.end_date, return_inverse=True)
     stamps = _matrix([[d.isocalendar().week, d.month, d.year] for d in dates.tolist()], len(TIMESTAMP_COLUMNS))
-    X = np.hstack([windows.values, stamps[date_row], static_matrix(profiles, users.tolist())[user_row]])
+    X = np.hstack([windows.values, stamps[date_row], static_matrix(profiles, windows.user_id)])
     return TabularDataset(column_names=list(_D6_COLUMNS), X=X, y=windows.label)
 
 

@@ -1,18 +1,23 @@
-"""Ingestion of the relational CSV database into typed records, plus cleansing.
+"""Ingestion of the relational CSV database into two column tables, plus cleansing.
 
 The database layout is fixed: four acquisition tables (one per activity), one
 socio-demographic table and seven questionnaire tables. All files are UTF-8,
-comma-separated, first row header. Empty cells mean null.
+comma-separated, first row header. Empty cells mean null. A parsed database is
+a `Profiles` table, one row per user, and an `Events` table whose rows index it.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .artifact import read_csv, write_csv
 
@@ -24,13 +29,8 @@ class Activity(Enum):
     PHYSICAL = "Physical"
 
 
-# Canonical file-name stem per activity: acquisitions_<stem>.csv
-ACTIVITY_FILE_STEMS = {
-    Activity.BRAIN_GAMES: "braingames",
-    Activity.FINGER_TAPPING: "fingertapping",
-    Activity.MINDFULNESS: "mindfulness",
-    Activity.PHYSICAL: "physical",
-}
+# Canonical file-name stem per activity, its label in lower case: acquisitions_<stem>.csv
+ACTIVITY_FILE_STEMS = {a: a.value.lower() for a in Activity}
 
 STATUS_VALUES = ("StillUsing", "Finished", "Dropout")
 
@@ -58,6 +58,21 @@ DEMOGRAPHIC_RANGES = {
     "use_case": (3, 7),
 }
 
+# The per-user columns, block by block in the order D2..D6 append them: the
+# demographics, then each questionnaire's items at each instance it was given.
+STATIC_BLOCKS = [list(DEMOGRAPHIC_FIELDS), *(
+    [f"{qid}{instance}_q{i}" for instance in QUESTIONNAIRE_INSTANCES[qid]
+     for i in range(1, QUESTIONNAIRE_ITEMS[qid] + 1)]
+    for qid in ("spq", "ucla", "eq5d3l", "utaut"))]
+STATIC_COLUMNS = list(chain.from_iterable(STATIC_BLOCKS))
+
+
+def answer_columns(qid: str, instance: int) -> slice:
+    """The STATIC_COLUMNS that hold one questionnaire instance's answers."""
+    start = STATIC_COLUMNS.index(f"{qid}{instance}_q1")
+    return slice(start, start + QUESTIONNAIRE_ITEMS[qid])
+
+
 MIN_SPAN_DAYS = 42  # "fewer than 6 weeks" cleansing rule, on the raw span
 
 
@@ -70,6 +85,8 @@ def _normalize_label(label: str) -> str:
 
 
 _ACTIVITY_LOOKUP = {_normalize_label(a.value): a for a in Activity}
+_ACTIVITY_CODE = {a: code for code, a in enumerate(Activity)}
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 def parse_activity(label: str) -> Activity:
@@ -81,34 +98,6 @@ def parse_activity(label: str) -> Activity:
 
 
 @dataclass(frozen=True)
-class AcquisitionEvent:
-    user_id: str
-    activity: Activity
-    timestamp: date
-
-
-@dataclass
-class UserProfile:
-    user_id: str
-    status: str | None = None
-    birth_year: int | None = None
-    education: int | None = None
-    technology: int | None = None
-    living_environment: int | None = None
-    living_conditions: int | None = None
-    living_status: int | None = None
-    use_case: int | None = None
-    # (questionnaire, instance) -> per-item answers, None where unanswered
-    answers: dict[tuple[str, int], tuple[int | None, ...]] = field(default_factory=dict)
-    # False for stub profiles created from questionnaire rows of unknown users
-    in_demographics: bool = True
-
-    def items_for(self, questionnaire: str, instance: int) -> tuple[int | None, ...]:
-        n = QUESTIONNAIRE_ITEMS[questionnaire]
-        return self.answers.get((questionnaire, instance), (None,) * n)
-
-
-@dataclass(frozen=True)
 class RejectedRow:
     table: str
     row: int  # 1-based data row number (header not counted)
@@ -116,21 +105,51 @@ class RejectedRow:
 
 
 @dataclass
+class Profiles:
+    """Every user seen in any table as columns, one row per user in user_id order."""
+
+    user_id: np.ndarray  # (u,) str, sorted
+    in_demographics: np.ndarray  # (u,) bool: False for a user with no demographics row
+    status: np.ndarray  # (u,) int8: index in STATUS_VALUES, -1 for a null or unknown status
+    static: np.ndarray  # (u, len(STATIC_COLUMNS)) float64: demographics, then answers; NaN for null
+
+    def __len__(self) -> int:
+        return len(self.user_id)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.user_id.tolist())
+
+
+@dataclass
+class Events:
+    """Every acquisition as columns, one row per event, sorted by (user, day, activity)."""
+
+    user: np.ndarray  # (n,) int: the user's row in Profiles
+    activity: np.ndarray  # (n,) int8: index in Activity order
+    day: np.ndarray  # (n,) datetime64[D]
+
+    @classmethod
+    def from_ordinals(cls, user, activity, ordinal) -> "Events":
+        """The events of the given columns, days given as date.toordinal(), in (user, day, activity) order."""
+        user, activity = np.asarray(user, dtype=np.int64), np.asarray(activity, dtype=np.int8)
+        day = (np.asarray(ordinal, dtype=np.int64) - _EPOCH_ORDINAL).astype("datetime64[D]")
+        order = np.lexsort((activity, day, user))
+        return cls(user[order], activity[order], day[order])
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of the users with events, ascending, and the first and last day of each one's events."""
+        start = np.flatnonzero(np.diff(self.user, prepend=-1))
+        return self.user[start], np.minimum.reduceat(self.day, start), np.maximum.reduceat(self.day, start)
+
+
+@dataclass
 class RawDatabase:
-    events: list[AcquisitionEvent]
-    profiles: dict[str, UserProfile]
+    profiles: Profiles
+    events: Events
     rejects: list[RejectedRow] = field(default_factory=list)
-
-    def events_by_user(self) -> dict[str, list[AcquisitionEvent]]:
-        grouped: dict[str, list[AcquisitionEvent]] = {}
-        for ev in self.events:
-            grouped.setdefault(ev.user_id, []).append(ev)
-        return grouped
-
-    def user_ids(self) -> list[str]:
-        ids = set(self.profiles)
-        ids.update(ev.user_id for ev in self.events)
-        return sorted(ids)
 
 
 @dataclass(frozen=True)
@@ -200,7 +219,8 @@ def _read_table(path: Path, required: list[str], table: str) -> tuple[list[str],
 def _user_rows(header: list[str], rows: list[list[str]], table: str,
                rejects: list[RejectedRow]) -> Iterator[tuple[int, str, list[str]]]:
     """Yield (row number, user_id, row) for each non-blank row; short rows and
-    rows with an empty user_id are recorded as rejects."""
+    rows with an empty user_id or a NUL in it are recorded as rejects (numpy
+    text arrays drop trailing NULs, so "u1\0" would merge with "u1")."""
     uid = header.index("user_id")
     for i, row in enumerate(rows, start=1):
         if not row or all(not c.strip() for c in row):
@@ -212,10 +232,15 @@ def _user_rows(header: list[str], rows: list[list[str]], table: str,
         if not user_id:
             rejects.append(RejectedRow(table, i, "empty user_id"))
             continue
+        if "\0" in user_id:
+            rejects.append(RejectedRow(table, i, "NUL in user_id"))
+            continue
         yield i, user_id, row
 
 
-def _parse_acquisitions(path: Path, activity: Activity, table: str, rejects: list[RejectedRow]) -> list[AcquisitionEvent]:
+def _parse_acquisitions(path: Path, activity: Activity, table: str,
+                        rejects: list[RejectedRow]) -> list[tuple[str, int, int]]:
+    """The user_id, activity code and date.toordinal() of each accepted row."""
     header, rows = _read_table(path, ["user_id", "timestamp"], table)
     known = {"user_id", "timestamp", "activity"}
     extra = [c for c in header if c not in known]
@@ -226,7 +251,7 @@ def _parse_acquisitions(path: Path, activity: Activity, table: str, rejects: lis
     events = []
     for i, user_id, row in _user_rows(header, rows, table, rejects):
         try:
-            ts = _parse_date(row[idx["timestamp"]])
+            day = _parse_date(row[idx["timestamp"]]).toordinal()
         except ValueError:
             rejects.append(RejectedRow(table, i, "unparseable timestamp"))
             continue
@@ -237,7 +262,7 @@ def _parse_acquisitions(path: Path, activity: Activity, table: str, rejects: lis
             except ValueError:
                 rejects.append(RejectedRow(table, i, "unknown activity"))
                 continue
-        events.append(AcquisitionEvent(user_id, act, ts))
+        events.append((user_id, _ACTIVITY_CODE[act], day))
     return events
 
 
@@ -245,7 +270,12 @@ def _parse_int(raw: str) -> int | None:
     return int(raw) if raw.strip() else None  # int() itself ignores surrounding whitespace
 
 
-def _parse_demographics(path: Path, rejects: list[RejectedRow]) -> dict[str, UserProfile]:
+def _to_float(value: int | None) -> float:
+    return math.nan if value is None else float(value)  # OverflowError beyond the float range
+
+
+def _parse_demographics(path: Path, rejects: list[RejectedRow]) -> dict[str, tuple[int, list[float]]]:
+    """Each accepted row's user_id -> (status code, demographic values)."""
     table = "demographics"
     required = ["user_id", "status", *DEMOGRAPHIC_FIELDS]
     header, rows = _read_table(path, required, table)
@@ -253,13 +283,12 @@ def _parse_demographics(path: Path, rejects: list[RejectedRow]) -> dict[str, Use
     if extra:
         warnings.warn(f"{table}: ignoring extra column(s) {extra}")
     idx = {c: header.index(c) for c in header}
-    profiles: dict[str, UserProfile] = {}
+    profiles: dict[str, tuple[int, list[float]]] = {}
     for i, user_id, row in _user_rows(header, rows, table, rejects):
         if user_id in profiles:
             rejects.append(RejectedRow(table, i, f"duplicate user_id {user_id}"))
             continue
-        status = row[idx["status"]].strip() or None
-        values: dict[str, int | None] = {}
+        values: list[float] = []
         reason = None
         for name in DEMOGRAPHIC_FIELDS:
             try:
@@ -272,21 +301,22 @@ def _parse_demographics(path: Path, rejects: list[RejectedRow]) -> dict[str, Use
                 if not lo <= v <= hi:
                     reason = f"{name} out of range [{lo},{hi}]"
                     break
-            values[name] = v
+            try:
+                values.append(_to_float(v))
+            except OverflowError:
+                reason = f"{name} too large"
+                break
         if reason is not None:
             rejects.append(RejectedRow(table, i, reason))
             continue
-        profiles[user_id] = UserProfile(user_id=user_id, status=status, **values)
+        status = row[idx["status"]].strip()
+        profiles[user_id] = (STATUS_VALUES.index(status) if status in STATUS_VALUES else -1, values)
     return profiles
 
 
-def _parse_questionnaire(
-    path: Path,
-    qid: str,
-    instance: int,
-    profiles: dict[str, UserProfile],
-    rejects: list[RejectedRow],
-) -> None:
+def _parse_questionnaire(path: Path, qid: str, instance: int,
+                         rejects: list[RejectedRow]) -> tuple[list[str], list[list[float]]]:
+    """The user_id and answers of each accepted row that answers at least one item."""
     table = f"{qid}_{instance}"
     n_items = QUESTIONNAIRE_ITEMS[qid]
     q_cols = [f"Q{i}" for i in range(1, n_items + 1)]
@@ -301,55 +331,65 @@ def _parse_questionnaire(
         warnings.warn(f"{table}: ignoring extra column(s) {extra}")
     idx = {c: header.index(c) for c in header}
     seen: set[str] = set()
+    users: list[str] = []
+    answers: list[list[float]] = []
     for i, user_id, row in _user_rows(header, rows, table, rejects):
         if user_id in seen:
             rejects.append(RejectedRow(table, i, f"duplicate user_id {user_id}"))
             continue
         seen.add(user_id)
         try:
-            answers = tuple(_parse_int(row[idx[c]]) for c in q_cols)
+            items = [_parse_int(row[idx[c]]) for c in q_cols]
         except ValueError:
             rejects.append(RejectedRow(table, i, "non-integer answer"))
             continue
-        if all(a is None for a in answers):
+        if all(a is None for a in items):
             continue  # an all-empty row is a non-response, not an answer set
-        profile = profiles.get(user_id)
-        if profile is None:
-            # Answers for unknown users are kept on a stub profile; the
-            # cleansing stage decides their fate.
-            profile = UserProfile(user_id=user_id, in_demographics=False)
-            profiles[user_id] = profile
-        profile.answers[(qid, instance)] = answers
-
-
-_ACTIVITY_ORDER = {a: i for i, a in enumerate(Activity)}
+        try:
+            answers.append(list(map(_to_float, items)))
+        except OverflowError:
+            rejects.append(RejectedRow(table, i, "answer too large"))
+            continue
+        users.append(user_id)
+    return users, answers
 
 
 def parse_database(paths: DatabasePaths) -> RawDatabase:
-    """Parse all tables into typed records.
+    """Parse all tables into the profile and event columns.
 
-    Malformed rows are collected as rejects, never silently dropped; file-level
-    problems (missing file, broken header) raise IngestError.
+    Every user seen in an accepted row gets a profile row; a user without a
+    demographics row (answers or events only) is kept with in_demographics
+    False, and the cleansing stage decides their fate. Malformed rows are
+    collected as rejects, never silently dropped; file-level problems
+    (missing file, broken header) raise IngestError.
     """
     rejects: list[RejectedRow] = []
-    events: list[AcquisitionEvent] = []
-    for activity in Activity:
-        path = paths.acquisitions[activity]
-        table = f"acquisitions_{ACTIVITY_FILE_STEMS[activity]}"
-        events.extend(_parse_acquisitions(path, activity, table, rejects))
-    # Stable merged order regardless of per-table parse order.
-    events.sort(key=lambda e: (e.user_id, e.timestamp, _ACTIVITY_ORDER[e.activity]))
-    profiles = _parse_demographics(paths.demographics, rejects)
-    for (qid, instance), path in sorted(paths.questionnaires.items()):
-        _parse_questionnaire(path, qid, instance, profiles, rejects)
-    return RawDatabase(events=events, profiles=profiles, rejects=rejects)
+    events = [e for a in Activity
+              for e in _parse_acquisitions(paths.acquisitions[a], a, f"acquisitions_{ACTIVITY_FILE_STEMS[a]}", rejects)]
+    event_user, activity, day = zip(*events) if events else ((), (), ())
+    demographics = _parse_demographics(paths.demographics, rejects)
+    answers = {key: _parse_questionnaire(path, *key, rejects) for key, path in sorted(paths.questionnaires.items())}
+    # One text array of the distinct users only: a numpy text array is as wide as its longest entry.
+    users = np.array(sorted({*event_user, *demographics, *chain.from_iterable(u for u, _ in answers.values())}),
+                     dtype=str)
+    row_of = {u: row for row, u in enumerate(users.tolist())}
+    rows = np.array([row_of[u] for u in demographics], dtype=np.int64)
+    in_demographics = np.zeros(len(users), dtype=bool)
+    in_demographics[rows] = True
+    status = np.full(len(users), -1, dtype=np.int8)
+    status[rows] = [code for code, _ in demographics.values()]
+    static = np.full((len(users), len(STATIC_COLUMNS)), np.nan)
+    static[rows, : len(DEMOGRAPHIC_FIELDS)] = \
+        np.reshape([v for _, v in demographics.values()], (-1, len(DEMOGRAPHIC_FIELDS)))
+    for (qid, instance), (ids, values) in answers.items():
+        static[np.array([row_of[u] for u in ids], dtype=np.int64), answer_columns(qid, instance)] = \
+            np.reshape(values, (-1, QUESTIONNAIRE_ITEMS[qid]))
+    return RawDatabase(profiles=Profiles(users, in_demographics, status, static),
+                       events=Events.from_ordinals([row_of[u] for u in event_user], activity, day), rejects=rejects)
 
 
-def user_span_days(events: list[AcquisitionEvent]) -> int:
-    """Raw first-to-last acquisition span in days."""
-    first = min(e.timestamp for e in events)
-    last = max(e.timestamp for e in events)
-    return (last - first).days
+# Why cleanse removes a user, in order of precedence.
+_REMOVAL_REASONS = ["missing_profile", "invalid_status", "no_acquisitions", "short_span"]
 
 
 def cleanse(db: RawDatabase) -> tuple[RawDatabase, CleanseReport]:
@@ -360,34 +400,24 @@ def cleanse(db: RawDatabase) -> tuple[RawDatabase, CleanseReport]:
     appear in acquisition or questionnaire tables without a demographics row
     are removed as unresolvable.
     """
-    by_user = db.events_by_user()
-    all_users = db.user_ids()
-    removed: list[RemovedUser] = []
-    retained: list[str] = []
-    for user_id in all_users:
-        profile = db.profiles.get(user_id)
-        events = by_user.get(user_id, [])
-        if profile is None or not profile.in_demographics:
-            removed.append(RemovedUser(user_id, "missing_profile"))
-            continue
-        if profile.status not in STATUS_VALUES:
-            removed.append(RemovedUser(user_id, "invalid_status"))
-            continue
-        if not events:
-            removed.append(RemovedUser(user_id, "no_acquisitions"))
-            continue
-        if user_span_days(events) < MIN_SPAN_DAYS:
-            removed.append(RemovedUser(user_id, "short_span"))
-            continue
-        retained.append(user_id)
-    keep = set(retained)
+    profiles, events = db.profiles, db.events
+    users, first, last = events.spans()
+    span = np.full(len(profiles), np.timedelta64("NaT"), dtype="timedelta64[D]")  # NaT: no acquisition
+    span[users] = last - first
+    reason = np.select([~profiles.in_demographics, profiles.status < 0, np.isnat(span),
+                        span < np.timedelta64(MIN_SPAN_DAYS, "D")], _REMOVAL_REASONS, "")
+    keep = reason == ""
+    kept = keep[events.user]
+    retained = profiles.user_id[keep].tolist()
     cleansed = RawDatabase(
-        events=[e for e in db.events if e.user_id in keep],
-        profiles={u: db.profiles[u] for u in retained},
+        # a new text array, as wide as the longest retained user_id rather than the longest removed one
+        profiles=Profiles(np.array(retained, dtype=str), profiles.in_demographics[keep], profiles.status[keep],
+                          profiles.static[keep]),
+        events=Events((np.cumsum(keep) - 1)[events.user[kept]], events.activity[kept], events.day[kept]),
         rejects=list(db.rejects),
     )
-    report = CleanseReport(n_input_users=len(all_users), retained=retained, removed=removed)
-    return cleansed, report
+    removed = [RemovedUser(u, r) for u, r in zip(profiles, reason.tolist()) if r]
+    return cleansed, CleanseReport(n_input_users=len(profiles), retained=retained, removed=removed)
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +428,23 @@ def write_database(db: RawDatabase, directory: str | Path) -> DatabasePaths:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     paths = DatabasePaths.from_dir(d)
-    by_activity: dict[Activity, list[AcquisitionEvent]] = {a: [] for a in Activity}
-    for ev in db.events:
-        by_activity[ev.activity].append(ev)
+    events, profiles = db.events, db.profiles
+    event_user, day = profiles.user_id[events.user], events.day.astype(str)
     for activity, path in paths.acquisitions.items():
-        events = sorted(by_activity[activity], key=lambda e: (e.user_id, e.timestamp))
-        write_csv(path, ["user_id", "timestamp"], ([ev.user_id, ev.timestamp.isoformat()] for ev in events))
-    users = sorted(db.profiles)
+        mine = events.activity == _ACTIVITY_CODE[activity]  # still in (user_id, day) order
+        write_csv(path, ["user_id", "timestamp"], zip(event_user[mine].tolist(), day[mine].tolist()))
+    users = list(profiles)
+    status = [STATUS_VALUES[code] if code >= 0 else None for code in profiles.status.tolist()]
+    known = ~np.isnan(profiles.static)
+    cells = np.full(profiles.static.shape, None, dtype=object)  # integers, None for null
+    cells[known] = [int(v) for v in profiles.static[known].tolist()]
+    demographics = cells[:, : len(DEMOGRAPHIC_FIELDS)].tolist()
     write_csv(paths.demographics, ["user_id", "status", *DEMOGRAPHIC_FIELDS],
-              ([u, db.profiles[u].status, *(getattr(db.profiles[u], f) for f in DEMOGRAPHIC_FIELDS)]
-               for u in users))
+              ([u, s, *values] for u, s, values in zip(users, status, demographics)))
     for (qid, instance), path in sorted(paths.questionnaires.items()):
         n_items = QUESTIONNAIRE_ITEMS[qid]
         write_csv(path, ["user_id", *(f"Q{i}" for i in range(1, n_items + 1))],
-                  ([u, *db.profiles[u].items_for(qid, instance)] for u in users))
+                  ([u, *items] for u, items in zip(users, cells[:, answer_columns(qid, instance)].tolist())))
     return paths
 
 

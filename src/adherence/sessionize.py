@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, fields
-from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .artifact import write_csv
-from .ingestion import AcquisitionEvent, RawDatabase
+from .ingestion import Activity, Events, RawDatabase
 
 WINDOW_SESSIONS = 12
 FUTURE_SESSIONS = 3
@@ -43,32 +41,40 @@ class Windows:
         return map(window._make, zip(*(getattr(self, f.name).tolist() for f in fields(self))))
 
 
-def round_active_period(first: date, last: date) -> tuple[date, date]:
-    """Round the raw active period to week boundaries.
+def round_active_period(first, last) -> tuple[np.ndarray, np.ndarray]:
+    """Round raw active periods, elementwise over datetime64[D] arrays or dates, to week boundaries.
 
-    The first date is rounded back to its Monday and the last date back to the
-    previous Sunday. The result may be empty (sunday < monday).
+    Each first date is rounded back to its Monday and each last date back to the
+    previous Sunday (a Sunday stays). A result may be empty (sunday < monday).
+    Day 0 of datetime64[D], 1970-01-01, is a Thursday.
     """
-    if first > last:
-        raise ValueError(f"inverted period: {first} > {last}")
-    monday = first - timedelta(days=first.weekday())
-    sunday = last if last.weekday() == 6 else last - timedelta(days=last.weekday() + 1)
-    return monday, sunday
+    first, last = np.asarray(first, dtype="datetime64[D]"), np.asarray(last, dtype="datetime64[D]")
+    if (first > last).any():
+        raise ValueError(f"inverted period: {first[first > last].tolist()} > {last[first > last].tolist()}")
+    return first - (first.astype(np.int64) + 3) % 7, last - (last.astype(np.int64) + 4) % 7
 
 
-def session_values(events: list[AcquisitionEvent], period: tuple[date, date]) -> np.ndarray:
-    """Per-session distinct-activity counts over the rounded period.
+def session_values(events: Events) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every user's series of distinct-activity counts per session over the rounded period.
 
-    Day d of the period falls in session 2 * (d // 7) + (d % 7 >= 4), which starts on
-    day 7 * (s // 2) + 4 * (s % 2); a session's value is the number of distinct
-    (session, activity) pairs in it. Events outside the period are ignored. An empty
+    Returns the Profiles rows of the users with events, the Monday each one's series
+    starts on, the series offsets and the values: user k's series is
+    values[start[k]:start[k + 1]]. Day d of a period falls in session
+    2 * (d // 7) + (d % 7 >= 4), which starts on day 7 * (s // 2) + 4 * (s % 2). A session's
+    value is its number of distinct activities: one np.bincount over the distinct
+    (user, session, activity) triples. Events after the period are ignored; an empty
     period yields no sessions.
     """
-    monday, sunday = period
-    n_sessions = 2 * max(0, (sunday - monday).days // 7 + 1)
-    days = {((ev.timestamp - monday).days, ev.activity) for ev in events}
-    sessions = [s for s, _ in {(2 * (d // 7) + (d % 7 >= 4), activity) for d, activity in days} if 0 <= s < n_sessions]
-    return np.bincount(np.array(sessions, dtype=np.int64), minlength=n_sessions)
+    users, first, last = events.spans()
+    monday, sunday = round_active_period(first, last)
+    n_sessions = 2 * np.maximum(0, (sunday - monday).astype(np.int64) // 7 + 1)
+    start = np.concatenate([[0], np.cumsum(n_sessions)])
+    series = np.searchsorted(users, events.user)
+    day = (events.day - monday[series]).astype(np.int64)
+    session = 2 * (day // 7) + (day % 7 >= 4)
+    inside = session < n_sessions[series]
+    triples = np.unique((start[series] + session)[inside] * len(Activity) + events.activity[inside])
+    return users, monday, start, np.bincount(triples // len(Activity), minlength=start[-1])
 
 
 def label_adherence(fs) -> np.ndarray:
@@ -81,27 +87,26 @@ def label_adherence(fs) -> np.ndarray:
     return (fs.sum(axis=-1) >= 2).astype(np.int64)
 
 
-def extract_windows(user_id: str, values: np.ndarray, monday: date) -> Windows:
-    """All stride-1 windows of 15 consecutive sessions of one user's series, which starts on monday, labeled."""
-    if len(values) < WINDOW_SPAN:  # sliding_window_view refuses a series shorter than the window
-        span = np.empty((0, WINDOW_SPAN), dtype=np.int64)
-    else:
-        span = sliding_window_view(values, WINDOW_SPAN)
+def extract_windows(user_id: np.ndarray, values: np.ndarray, start: np.ndarray, monday: np.ndarray) -> Windows:
+    """All stride-1 windows of 15 consecutive sessions within each series, labeled, in series then time order.
+
+    Series k is values[start[k]:start[k + 1]], of user user_id[k], and starts on monday[k];
+    a series of fewer than 15 sessions gives none.
+    """
+    count = np.maximum(np.diff(start) - (WINDOW_SPAN - 1), 0)
+    series = np.repeat(np.arange(len(count)), count)
+    first = np.arange(len(series)) - np.repeat(np.cumsum(count) - count, count)  # within the series
+    span = values[(start[series] + first)[:, None] + np.arange(WINDOW_SPAN)]
     future = (span[:, WINDOW_SESSIONS:] >= 1).astype(np.int64)
-    twelfth = np.arange(WINDOW_SESSIONS - 1, len(values) - FUTURE_SESSIONS)
-    return Windows(user_id=np.full(len(span), user_id), values=span[:, :WINDOW_SESSIONS], future=future,
-                   label=label_adherence(future),
-                   end_date=np.datetime64(monday, "D") + 7 * (twelfth // 2) + 4 * (twelfth % 2))
+    twelfth = first + WINDOW_SESSIONS - 1
+    return Windows(user_id=user_id[series], values=span[:, :WINDOW_SESSIONS], future=future,
+                   label=label_adherence(future), end_date=monday[series] + 7 * (twelfth // 2) + 4 * (twelfth % 2))
 
 
 def windows_for_database(db: RawDatabase) -> Windows:
-    """Sessionize every user and extract all windows, merged in user_id order."""
-    # typed empty columns first: a database may have no window at all
-    parts = [extract_windows("", np.empty(0, dtype=np.int64), date.min)]
-    for user_id, events in sorted(db.events_by_user().items()):
-        period = round_active_period(min(e.timestamp for e in events), max(e.timestamp for e in events))
-        parts.append(extract_windows(user_id, session_values(events, period), period[0]))
-    return Windows(*(np.concatenate([getattr(w, f.name) for w in parts]) for f in fields(Windows)))
+    """Sessionize every user and extract all windows, in user_id order."""
+    users, monday, start, values = session_values(db.events)
+    return extract_windows(db.profiles.user_id[users], values, start, monday)
 
 
 def write_windows(windows: Windows, path: str | Path) -> None:

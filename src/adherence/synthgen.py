@@ -18,14 +18,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 
+import numpy as np
+
 from .ingestion import (
-    Activity,
-    AcquisitionEvent,
+    DEMOGRAPHIC_FIELDS,
     DEMOGRAPHIC_RANGES,
     QUESTIONNAIRE_INSTANCES,
     QUESTIONNAIRE_ITEMS,
+    STATIC_COLUMNS,
+    STATUS_VALUES,
+    Activity,
+    Events,
+    Profiles,
     RawDatabase,
-    UserProfile,
+    answer_columns,
 )
 from .rng import substream
 
@@ -45,14 +51,6 @@ DEFAULT_NULL_RATES = {
 QUESTIONNAIRE_SCALES = {"spq": (1, 5), "ucla": (1, 4), "eq5d3l": (1, 3), "utaut": (1, 7)}
 
 DEFAULT_DEMOGRAPHIC_RANGES: dict[str, tuple[int, int]] = {"birth_year": (1924, 1974), **DEMOGRAPHIC_RANGES}
-
-
-def _default_null_rates() -> dict[tuple[str, int], float]:
-    return dict(DEFAULT_NULL_RATES)
-
-
-def _default_demo_ranges() -> dict[str, tuple[int, int]]:
-    return dict(DEFAULT_DEMOGRAPHIC_RANGES)
 
 
 @dataclass
@@ -79,8 +77,8 @@ class SynthConfig:
     # Planned program length; users stop cleanly when they complete it.
     program_weeks_min: int = 20
     program_weeks_max: int = 44
-    null_rates: dict[tuple[str, int], float] = field(default_factory=_default_null_rates)
-    demographic_ranges: dict[str, tuple[int, int]] = field(default_factory=_default_demo_ranges)
+    null_rates: dict[tuple[str, int], float] = field(default_factory=lambda: dict(DEFAULT_NULL_RATES))
+    demographic_ranges: dict[str, tuple[int, int]] = field(default_factory=lambda: dict(DEFAULT_DEMOGRAPHIC_RANGES))
 
     def validate(self) -> None:
         if self.n_users < 1:
@@ -122,22 +120,21 @@ def generate(cfg: SynthConfig) -> RawDatabase:
     cfg.validate()
     rng = substream(cfg.seed, "synthgen")
     total_days = (cfg.end_date - cfg.start_date).days
-    events: list[AcquisitionEvent] = []
-    profiles: dict[str, UserProfile] = {}
-    activities = list(Activity)
-    ranges = {**DEFAULT_DEMOGRAPHIC_RANGES, **cfg.demographic_ranges}
+    first_day, last_day = cfg.start_date.toordinal(), cfg.end_date.toordinal()
+    events: list[tuple[int, int, int]] = []  # (user number, activity code, date.toordinal())
+    status = np.empty(cfg.n_users, dtype=np.int8)
+    static = np.full((cfg.n_users, len(STATIC_COLUMNS)), np.nan)
+    ranges = [{**DEFAULT_DEMOGRAPHIC_RANGES, **cfg.demographic_ranges}[name] for name in DEMOGRAPHIC_FIELDS]
 
     for i in range(cfg.n_users):
-        user_id = f"u{i:05d}"
-        demo = {name: int(rng.integers(lo, hi + 1)) for name, (lo, hi) in ranges.items()}
+        static[i, : len(ranges)] = [int(rng.integers(lo, hi + 1)) for lo, hi in ranges]
         level = float(rng.beta(cfg.engagement_alpha, cfg.engagement_beta))
         to_off = cfg.switch_base + cfg.switch_scale * (1.0 - level)
         to_on = cfg.switch_base + cfg.switch_scale * level
         program_weeks = int(rng.integers(cfg.program_weeks_min, cfg.program_weeks_max + 1))
         offset = int(rng.integers(0, max(1, total_days - 56)))
-        week = _monday_of(cfg.start_date + timedelta(days=offset))
+        week = _monday_of(cfg.start_date + timedelta(days=offset)).toordinal()
 
-        status = "StillUsing"
         weeks_done = 0
         dropped = False
         stopped = False
@@ -145,7 +142,7 @@ def generate(cfg: SynthConfig) -> RawDatabase:
         wane_attend = 1.0
         wane_left = -1  # -1: engaged; >=0: sessions of waning remaining
         while weeks_done < program_weeks and not stopped:
-            if week > cfg.end_date:
+            if week > last_day:
                 break
             for offsets in _SESSION_OFFSETS:
                 if wane_left == 0:
@@ -159,23 +156,21 @@ def generate(cfg: SynthConfig) -> RawDatabase:
                     attends = on
                     on = (rng.random() >= to_off) if on else (rng.random() < to_on)
                 if attends:
-                    for activity in activities:
+                    for activity in range(len(Activity)):
                         if rng.random() < cfg.activity_prob:
-                            day = week + timedelta(days=int(rng.choice(offsets)))
-                            if cfg.start_date <= day <= cfg.end_date:
-                                events.append(AcquisitionEvent(user_id, activity, day))
+                            # the one integer rng.choice(offsets) draws, without its overhead
+                            day = week + offsets[int(rng.integers(0, len(offsets)))]
+                            if first_day <= day <= last_day:
+                                events.append((i, activity, day))
                 if wane_left < 0 and rng.random() < cfg.dropout_hazard:
                     dropped = True
                     wane_left = cfg.waning_sessions
-            week += timedelta(days=7)
+            week += 7
             weeks_done += 1
-        if dropped:
-            status = "Dropout"
-        elif weeks_done >= program_weeks:
-            status = "Finished"
+        status[i] = STATUS_VALUES.index("Dropout" if dropped else "Finished" if weeks_done >= program_weeks
+                                        else "StillUsing")
 
-        answers: dict[tuple[str, int], tuple[int | None, ...]] = {}
-        for qid in sorted(QUESTIONNAIRE_ITEMS):
+        for qid in sorted(QUESTIONNAIRE_ITEMS):  # the draw order; STATIC_COLUMNS orders them otherwise
             lo, hi = QUESTIONNAIRE_SCALES[qid]
             mid = (lo + hi) / 2.0
             for instance in QUESTIONNAIRE_INSTANCES[qid]:
@@ -187,9 +182,12 @@ def generate(cfg: SynthConfig) -> RawDatabase:
                     raw = mid + 0.9 * latent + float(rng.normal()) * 0.6
                     items.append(int(min(hi, max(lo, round(raw)))))
                 if responds:
-                    answers[(qid, instance)] = tuple(items)
-        profiles[user_id] = UserProfile(user_id=user_id, status=status, answers=answers, **demo)
+                    static[i, answer_columns(qid, instance)] = items
 
-    order = {a: i for i, a in enumerate(Activity)}
-    events.sort(key=lambda e: (e.user_id, e.timestamp, order[e.activity]))
-    return RawDatabase(events=events, profiles=profiles)
+    # the ids sort like the users' numbers only below 100,000 users
+    user_id = np.array([f"u{i:05d}" for i in range(cfg.n_users)])
+    order = np.argsort(user_id)
+    row = np.argsort(order)  # each user's row in the sorted table
+    profiles = Profiles(user_id[order], np.ones(cfg.n_users, dtype=bool), status[order], static[order])
+    user, activity, day = np.array(events, dtype=np.int64).reshape(-1, 3).T
+    return RawDatabase(profiles=profiles, events=Events.from_ordinals(row[user], activity, day))

@@ -8,7 +8,6 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
-from datetime import date
 
 import numpy as np
 import pytest
@@ -26,9 +25,9 @@ from adherence.learn import (
     RandomForest,
 )
 from adherence.resample import ResampleConfig, adasyn_allocation, oversample
-from adherence.sessionize import extract_windows, label_adherence, windows_for_database
+from adherence.sessionize import label_adherence, windows_for_database
 
-from conftest import make_dataset
+from conftest import make_dataset, one_series
 from test_knn import brute_force_knn_proba
 from test_mlp import finite_difference_check, tiny_net
 from test_resample import adasyn_oracle_allocation, assert_segment_property
@@ -88,7 +87,7 @@ def test_criterion_3_labeling_oracles():
                 chunk = values[i : i + 15]
                 fs = tuple(1 if v >= 1 else 0 for v in chunk[12:])
                 naive.append((tuple(chunk[:12]), fs, 0 if sum(fs) < 2 else 1))
-            w = extract_windows("u", np.array(values, dtype=np.int64), date(2018, 8, 13))
+            w = one_series(values)
             got = list(zip(map(tuple, w.values.tolist()), map(tuple, w.future.tolist()), w.label.tolist()))
             assert got == naive
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from adherence import synthgen
 from adherence.analytics import (
+    DuplicateGroup,
     acquisition_distribution,
     cronbach_alpha,
     demographic_summary,
@@ -16,11 +17,10 @@ from adherence.analytics import (
     session_correlation_matrix,
 )
 from adherence.features import build_variant
-from adherence.ingestion import UserProfile
 from adherence.sessionize import windows_for_database
 from datetime import date
 
-from conftest import make_dataset, make_windows
+from conftest import make_dataset, make_profiles, make_windows
 
 
 class TestPearson:
@@ -145,18 +145,14 @@ class TestCronbachAlpha:
 
 class TestNullRates:
     def test_two_of_eight(self):
-        profiles = {}
-        for i in range(8):
-            answers = {} if i < 2 else {("utaut", 3): tuple([3] * 31)}
-            profiles[f"u{i}"] = UserProfile(user_id=f"u{i}", status="Finished", answers=answers)
+        profiles = make_profiles([f"u{i}" for i in range(8)], status=["Finished"] * 8,
+                                 utaut3=[None, None, *[(3,) * 31] * 6])
         rows = [r for r in null_rates(profiles) if r.questionnaire == "utaut"]
         assert rows[0].feature_group == "all"
         assert rows[0].pct_null == pytest.approx(25.0)
 
     def test_fully_answered_zero(self):
-        profiles = {
-            "u1": UserProfile(user_id="u1", status="Finished", answers={("spq", 1): (1, 2, 3, 4, 5, 1)}),
-        }
+        profiles = make_profiles(["u1"], status=["Finished"], spq1=[(1, 2, 3, 4, 5, 1)])
         rows = [r for r in null_rates(profiles) if r.questionnaire == "spq" and r.instance == 1]
         assert rows == [rows[0]]
         assert rows[0].pct_null == 0.0
@@ -164,10 +160,8 @@ class TestNullRates:
 
     def test_item_groups_split_by_rate(self):
         # Q1..Q3 answered by all, Q4..Q6 only by u1 -> two groups
-        profiles = {
-            "u1": UserProfile(user_id="u1", status="Finished", answers={("spq", 1): (1, 2, 3, 4, 5, 1)}),
-            "u2": UserProfile(user_id="u2", status="Finished", answers={("spq", 1): (1, 2, 3, None, None, None)}),
-        }
+        profiles = make_profiles(["u1", "u2"], status=["Finished"] * 2,
+                                 spq1=[(1, 2, 3, 4, 5, 1), (1, 2, 3, None, None, None)])
         rows = [r for r in null_rates(profiles) if r.questionnaire == "spq" and r.instance == 1]
         assert [(r.feature_group, r.pct_null) for r in rows] == [("Q1-Q3", 0.0), ("Q4-Q6", 50.0)]
 
@@ -178,32 +172,29 @@ class TestNullRates:
         assert rows[0].pct_null == pytest.approx(50.0, abs=5.0)
 
 
+def ones(n):
+    """Education, technology and the three living fields at 1 for n users."""
+    return {name: [1] * n for name in ("education", "technology", "living_environment", "living_conditions",
+                                       "living_status")}
+
+
 class TestDemographicSummary:
     def test_hand_values(self):
-        profiles = {
-            f"u{i}": UserProfile(user_id=f"u{i}", status="Finished", birth_year=y, education=1,
-                                 technology=1, living_environment=1, living_conditions=1,
-                                 living_status=1, use_case=3)
-            for i, y in enumerate([1940, 1950, 1950])
-        }
+        profiles = make_profiles(["u0", "u1", "u2"], status=["Finished"] * 3, birth_year=[1940, 1950, 1950],
+                                 **ones(3), use_case=[3] * 3)
         s = demographic_summary(profiles)["birth_year"]
         assert (s.minimum, s.maximum, s.mode) == (1940.0, 1950.0, 1950.0)
         assert s.mean == pytest.approx(1946.67, abs=0.01)
 
     def test_single_user(self):
-        profiles = {"u": UserProfile(user_id="u", status="Finished", birth_year=1944, education=2,
-                                     technology=1, living_environment=1, living_conditions=1,
-                                     living_status=2, use_case=4)}
+        profiles = make_profiles(["u"], status=["Finished"], birth_year=[1944], education=[2], technology=[1],
+                                 living_environment=[1], living_conditions=[1], living_status=[2], use_case=[4])
         for s in demographic_summary(profiles).values():
             assert s.minimum == s.maximum == s.mean == s.mode
 
     def test_mode_tie_smallest(self):
-        profiles = {
-            f"u{i}": UserProfile(user_id=f"u{i}", status="Finished", birth_year=1940, education=e,
-                                 technology=1, living_environment=1, living_conditions=1,
-                                 living_status=1, use_case=3)
-            for i, e in enumerate([1, 1, 2, 2])
-        }
+        profiles = make_profiles(["u0", "u1", "u2", "u3"], status=["Finished"] * 4, birth_year=[1940] * 4,
+                                 **{**ones(4), "education": [1, 1, 2, 2]}, use_case=[3] * 4)
         assert demographic_summary(profiles)["education"].mode == 1.0
 
     def test_mean_within_bounds(self, small_cleansed):
@@ -211,7 +202,7 @@ class TestDemographicSummary:
             assert s.minimum <= s.mean <= s.maximum
 
     def test_empty_field_errors(self):
-        profiles = {"u": UserProfile(user_id="u", status="Finished")}
+        profiles = make_profiles(["u"], status=["Finished"])
         with pytest.raises(ValueError, match="no non-null values"):
             demographic_summary(profiles)
 
@@ -283,3 +274,32 @@ class TestDuplicateAnalysis:
         a, b = duplicate_analysis(ds), duplicate_analysis(shuffled)
         assert a.multiplicity_histogram == b.multiplicity_histogram
         assert a.duplicates == b.duplicates
+
+    def test_rows_compare_as_bytes(self):
+        """0.0 and -0.0 are two tuples; NaNs of one bit pattern are one."""
+        ds = make_dataset([[0.0, math.nan], [-0.0, math.nan], [0.0, math.nan], [-0.0, 1.0]], [1, 0, 1, 0])
+        report = duplicate_analysis(ds)
+        assert report.n_distinct == 3 and report.multiplicity_histogram == {1: 2, 2: 1}
+        assert report.duplicates == [DuplicateGroup(2, 0, 2)]
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, math.nan]), st.sampled_from([0.0, 2.0]),
+                              st.integers(0, 1)), max_size=40))
+    def test_matches_row_bytes_reference(self, rows):
+        """The grouping of the per-row tobytes() loop it replaced, labels split and sorted the same way."""
+        X = np.array([r[:2] for r in rows], dtype=np.float64).reshape(-1, 2)
+        y = np.array([r[2] for r in rows], dtype=np.int64)
+        groups = {}
+        for r in range(len(rows)):
+            groups.setdefault(X[r].tobytes(), []).append(r)
+        histogram = {}
+        duplicates = []
+        for members in groups.values():
+            histogram[len(members)] = histogram.get(len(members), 0) + 1
+            if len(members) >= 2:
+                n_high = int(y[members].sum())
+                duplicates.append(DuplicateGroup(len(members), len(members) - n_high, n_high))
+        duplicates.sort(key=lambda g: (-g.multiplicity, g.n_low, g.n_high))
+        report = duplicate_analysis(make_dataset(X, y))
+        assert (report.n_rows, report.n_distinct) == (len(rows), len(groups))
+        assert report.multiplicity_histogram == dict(sorted(histogram.items()))
+        assert report.duplicates == duplicates

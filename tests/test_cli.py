@@ -795,6 +795,22 @@ class TestMalformedInputs:
         assert err[0].startswith(f"error [ingest/ingestion]: demographics: {path}: line 5: field larger than field limit")
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("table, column, reason", [("demographics", "birth_year", "birth_year too large"),
+                                                       ("spq_1", "Q1", "answer too large")],
+                             ids=["birth_year", "answer"])
+    def test_integer_beyond_the_float_range_is_a_reject(self, tmp_path, capsys, db_dir, table, column, reason):
+        """int() takes a 400-digit number but float() does not: the row is a reject, and every command runs."""
+        path = db_dir / f"{table}.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[3][rows[0].index(column)] = "9" * 400
+        path.write_text("\n".join(map(",".join, rows)) + "\n")
+        capsys.readouterr()
+        for command in ("ingest", "build", "stats"):
+            assert run(command, "--db", str(db_dir), "--out", str(tmp_path / command)) == 0
+        for command in ("ingest", "build"):
+            assert f"{table},3,{reason}" in (tmp_path / command / "rejects.csv").read_text().splitlines()
+        assert capsys.readouterr().err == ""
+
     def test_wrong_width_dataset_row(self, tmp_path, capsys):
         rng = np.random.default_rng(9)
         path = tmp_path / "ds.csv"

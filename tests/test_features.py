@@ -15,7 +15,6 @@ from adherence.artifact import write_csv
 from adherence.features import (
     LABEL_COLUMN,
     S_COLUMNS,
-    STATIC_COLUMNS,
     VARIANT_COLUMN_COUNTS,
     VARIANT_COLUMNS,
     VARIANTS,
@@ -29,10 +28,10 @@ from adherence.features import (
     transform,
     write_dataset_csv,
 )
-from adherence.ingestion import UserProfile
+from adherence.ingestion import STATIC_COLUMNS
 from adherence.sessionize import windows_for_database
 
-from conftest import make_dataset, make_windows
+from conftest import make_dataset, make_profiles, make_windows
 
 
 EXPECTED_COUNTS = {"D0": 12, "D1": 15, "D2": 22, "D3": 34, "D4": 74, "D5": 84, "D6": 115}
@@ -47,18 +46,10 @@ def sample_for(user_id="u1", end=date(2018, 11, 5)):
 
 
 def profile_for(user_id="u1"):
-    return UserProfile(
-        user_id=user_id,
-        status="Finished",
-        birth_year=1943,
-        education=2,
-        technology=1,
-        living_environment=1,
-        living_conditions=1,
-        living_status=2,
-        use_case=5,
-        answers={("spq", 1): (1, 2, 3, 4, 5, 1), ("ucla", 3): tuple([2] * 20)},
-    )
+    """A one-user table: every demographic field, spq at instance 1 and ucla at instance 3."""
+    return make_profiles([user_id], status=["Finished"], birth_year=[1943], education=[2], technology=[1],
+                         living_environment=[1], living_conditions=[1], living_status=[2], use_case=[5],
+                         spq1=[(1, 2, 3, 4, 5, 1)], ucla3=[(2,) * 20])
 
 
 class TestVariantColumns:
@@ -81,12 +72,12 @@ class TestVariantColumns:
             assert b[: len(a)] == a and len(b) > len(a)
 
     def test_unknown_variant(self):
-        d6 = build_variant(sample_for(), {"u1": profile_for()})
+        d6 = build_variant(sample_for(), profile_for())
         with pytest.raises(ValueError, match="'D7' is not a column prefix"):
             d6.prefix("D7")
 
     def test_prefix_of_a_narrower_dataset_rejected(self):
-        d2 = build_variant(sample_for(), {"u1": profile_for()}).prefix("D2")
+        d2 = build_variant(sample_for(), profile_for()).prefix("D2")
         assert d2.prefix("D1").column_names == VARIANT_COLUMNS["D1"]
         with pytest.raises(ValueError, match="'D3' is not a column prefix"):
             d2.prefix("D3")
@@ -103,33 +94,36 @@ class TestVariantColumns:
 class TestBuildVariant:
     def test_unknown_user_errors(self):
         with pytest.raises(ValueError, match="unknown user_id"):
-            build_variant(sample_for("ghost"), {"u1": profile_for()})
+            build_variant(sample_for("ghost"), profile_for())
 
     def test_timestamp_features(self):
-        ds = build_variant(sample_for(end=date(2018, 11, 5)), {"u1": profile_for()})
+        ds = build_variant(sample_for(end=date(2018, 11, 5)), profile_for())
         week, month, year = ds.X[0, 12:15]
         assert (week, month, year) == (45, 11, 2018)
 
     def test_timestamps_per_window_over_repeated_dates(self):
         ends = [date(2019, 12, 30), date(2018, 11, 5), date(2019, 12, 30), date(2019, 1, 4)]
         windows = make_windows(*((u, SAMPLE_VALUES, (1, 1, 0), 1, d) for u, d in zip(["u2", "u1", "u1", "u2"], ends)))
-        ds = build_variant(windows, {"u1": profile_for("u1"), "u2": UserProfile("u2")})
+        profiles = make_profiles(["u1", "u2"], status=["Finished", None], birth_year=[1943, None])
+        ds = build_variant(windows, profiles)
         assert ds.X[:, 12:15].tolist() == [[1, 12, 2019], [45, 11, 2018], [1, 12, 2019], [1, 1, 2019]]
         assert ds.X[[1, 2], 15].tolist() == [1943, 1943]  # u1's birth year; u2 has no static value
         assert np.isnan(ds.X[[0, 3], 15:]).all()
 
     def test_static_matrix_rows_follow_users(self):
-        profiles = {"u1": profile_for("u1"), "u2": UserProfile("u2", birth_year=1950)}
+        profiles = make_profiles(["u1", "u2"], birth_year=[1943, 1950], spq1=[(1, 2, 3, 4, 5, 1), None])
         m = static_matrix(profiles, ["u2", "u1"])
         assert m.shape == (2, len(STATIC_COLUMNS)) and STATIC_COLUMNS == VARIANT_COLUMNS["D6"][15:]
         assert m[0, 0] == 1950 and np.isnan(m[0, 1:]).all()
         assert m[1, STATIC_COLUMNS.index("spq1_q3")] == 3 and np.isnan(m[1, STATIC_COLUMNS.index("spq3_q3")])
         with pytest.raises(ValueError, match="unknown user_id 'ghost'"):
             static_matrix(profiles, ["u1", "ghost"])
+        with pytest.raises(ValueError, match="unknown user_id 'zz'"):  # sorts after every user
+            static_matrix(profiles, ["zz"])
 
     def test_nulls_become_nan(self):
         # ucla instance 1 unanswered -> NaN block in D4
-        ds = build_variant(sample_for(), {"u1": profile_for()}).prefix("D4")
+        ds = build_variant(sample_for(), profile_for()).prefix("D4")
         cols = ds.column_names
         ucla1 = [i for i, c in enumerate(cols) if c.startswith("ucla1_")]
         ucla3 = [i for i, c in enumerate(cols) if c.startswith("ucla3_")]
@@ -138,11 +132,11 @@ class TestBuildVariant:
 
     def test_d0_needs_no_profiles(self):
         # D0 uses no profile value, but D6, which D0 is cut from, needs every window's user.
-        ds = build_variant(sample_for(), {"u1": UserProfile("u1")}).prefix("D0")
+        ds = build_variant(sample_for(), make_profiles(["u1"])).prefix("D0")
         assert ds.n_cols == 12
         assert list(ds.X[0]) == list(map(float, SAMPLE_VALUES))
         with pytest.raises(ValueError, match="unknown user_id 'ghost'"):
-            build_variant(sample_for("ghost"), {})
+            build_variant(sample_for("ghost"), make_profiles([]))
 
 
 class TestPreprocess:

@@ -1,71 +1,34 @@
 import itertools
-from collections import Counter
-from dataclasses import dataclass
 from datetime import date, timedelta
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adherence.ingestion import Activity, AcquisitionEvent, RawDatabase
+from adherence.ingestion import Activity
 from adherence.sessionize import (
-    extract_windows,
     label_adherence,
     round_active_period,
     session_values,
     windows_for_database,
 )
+from reference import AcquisitionEvent, assert_same_windows, reference_database_windows
+
+from conftest import make_db, one_series
 
 
 def ev(user, activity, d):
     return AcquisitionEvent(user, activity, d)
 
 
-# The record-based sessionizer that windows_for_database replaced, kept as the reference:
-# one Session per half week, one WindowSample per window.
-
-@dataclass(frozen=True)
-class Session:
-    start: date
-    value: int
+def events_db(events):
+    """A database of these event records alone: every user is a ghost."""
+    return make_db(events=[(e.user_id, e.activity, e.timestamp) for e in events])
 
 
-@dataclass(frozen=True)
-class WindowSample:
-    user_id: str
-    values: tuple
-    future: tuple
-    label: int
-    window_end_date: date
-
-
-def reference_sessions(events, period):
-    monday, sunday = period
-    n_sessions = 2 * max(0, (sunday - monday).days // 7 + 1)
-    days = {((e.timestamp - monday).days, e.activity) for e in events}
-    values = Counter(s for s, _ in {(2 * (d // 7) + (d % 7 >= 4), activity) for d, activity in days})
-    return [Session(monday + timedelta(days=7 * (s // 2) + 4 * (s % 2)), values[s]) for s in range(n_sessions)]
-
-
-def reference_windows(user_id, sessions):
-    values = [s.value for s in sessions]
-    samples = []
-    for i in range(len(values) - 15 + 1):
-        fs = tuple(int(v >= 1) for v in values[i + 12 : i + 15])
-        samples.append(WindowSample(user_id, tuple(values[i : i + 12]), fs, 0 if sum(fs) < 2 else 1,
-                                    sessions[i + 11].start))
-    return samples
-
-
-def reference_database_windows(events):
-    by_user = {}
-    for e in events:
-        by_user.setdefault(e.user_id, []).append(e)
-    out = []
-    for user_id, user_events in sorted(by_user.items()):
-        period = round_active_period(min(e.timestamp for e in user_events), max(e.timestamp for e in user_events))
-        out += reference_windows(user_id, reference_sessions(user_events, period))
-    return out
+def series(events):
+    """The session values of each user of the events, as lists."""
+    _, _, start, values = session_values(events_db(events).events)
+    return [values[a:b].tolist() for a, b in zip(start, start[1:])]
 
 
 @st.composite
@@ -110,14 +73,19 @@ class TestRoundActivePeriod:
         # Wed..Thu of one week: previous Sunday precedes that week's Monday.
         monday, sunday = round_active_period(date(2018, 8, 15), date(2018, 8, 16))
         assert sunday < monday
-        assert len(session_values([], (monday, sunday))) == 0
+        assert series([ev("u", Activity.PHYSICAL, date(2018, 8, 15)), ev("u", Activity.PHYSICAL, date(2018, 8, 16))]) \
+            == [[]]
 
-    @given(st.dates(min_value=date(2015, 1, 1), max_value=date(2025, 1, 1)), st.integers(0, 400))
+    @given(st.dates(min_value=date(1965, 1, 1), max_value=date(2025, 1, 1)), st.integers(0, 400))
     def test_boundaries_are_calendar_correct(self, first, span):
         last = first + timedelta(days=span)
-        monday, sunday = round_active_period(first, last)
+        monday, sunday = (d.item() for d in round_active_period(first, last))
         assert monday.weekday() == 0 and monday <= first and first - monday <= timedelta(days=6)
         assert sunday.weekday() == 6 and sunday <= last and last - sunday <= timedelta(days=6)
+
+
+# The week of Monday 2018-08-13 to Sunday 2018-08-19, closed by an event on its Sunday.
+SUNDAY = ev("u", Activity.MINDFULNESS, date(2018, 8, 19))
 
 
 class TestBuildSessions:
@@ -128,33 +96,37 @@ class TestBuildSessions:
             ev("u", Activity.BRAIN_GAMES, date(2018, 8, 15)),
             ev("u", Activity.PHYSICAL, date(2018, 8, 14)),
         ]
-        assert session_values(events, (date(2018, 8, 13), date(2018, 8, 19))).tolist() == [2, 0]
+        assert series(events + [SUNDAY]) == [[2, 1]]
 
     def test_empty_week_both_sessions_zero(self):
-        assert session_values([], (date(2018, 8, 13), date(2018, 8, 26))).tolist() == [0, 0, 0, 0]
+        # a quiet week between two active ones
+        events = [ev("u", Activity.PHYSICAL, date(2018, 8, 13)), ev("u", Activity.PHYSICAL, date(2018, 9, 2))]
+        assert series(events) == [[1, 0, 0, 0, 0, 1]]
 
     def test_all_four_on_friday(self):
         events = [ev("u", a, date(2018, 8, 17)) for a in Activity]
-        assert session_values(events, (date(2018, 8, 13), date(2018, 8, 19))).tolist() == [0, 4]
+        assert series(events + [ev("u", Activity.PHYSICAL, date(2018, 8, 13)), SUNDAY]) == [[1, 4]]
 
     def test_events_outside_period_ignored(self):
-        events = [ev("u", Activity.PHYSICAL, date(2018, 8, 10)), ev("u", Activity.PHYSICAL, date(2018, 8, 20))]
-        assert session_values(events, (date(2018, 8, 13), date(2018, 8, 19))).tolist() == [0, 0]
+        # the last day, a Wednesday, rounds back to the Sunday before it, so its week is left out
+        events = [ev("u", Activity.PHYSICAL, date(2018, 8, 13)), ev("u", Activity.PHYSICAL, date(2018, 8, 22))]
+        assert series(events) == [[1, 0]]
+
+    def test_users_get_their_own_series(self):
+        events = [ev("v", Activity.PHYSICAL, date(2018, 8, 13)), SUNDAY, ev("v", Activity.PHYSICAL, date(2018, 8, 26))]
+        users, monday, _, _ = session_values(events_db(events).events)
+        assert series(events) == [[0, 1], [1, 0, 0, 1]]
+        assert users.tolist() == [0, 1] and monday.tolist() == [date(2018, 8, 13)] * 2
 
     def test_sessions_alternate_and_dates_contiguous(self):
         # one user active Monday 2018-08-13 to Sunday 2018-12-30: 40 sessions, 26 windows, whose
         # end dates are the starts of sessions 11..36
         events = [ev("u", Activity.PHYSICAL, date(2018, 8, 13)), ev("u", Activity.PHYSICAL, date(2018, 12, 30))]
-        ends = windows_for_database(RawDatabase(events, {})).end_date.tolist()
+        ends = windows_for_database(events_db(events)).end_date.tolist()
         assert len(ends) == 26 and ends[0] == date(2018, 9, 21)
         assert [d.weekday() for d in ends] == [4, 0] * 13
         for a, b in zip(ends, ends[1:]):
             assert (b - a).days == (4 if a.weekday() == 0 else 3)
-
-
-def series_of(values, user="u"):
-    """The windows of a series of session values that starts on Monday 2018-08-13."""
-    return extract_windows(user, np.array(values, dtype=np.int64), date(2018, 8, 13))
 
 
 class TestLabelAdherence:
@@ -183,31 +155,31 @@ class TestLabelAdherence:
 
 class TestExtractWindows:
     def test_fifteen_sessions_one_sample(self):
-        assert len(series_of([1] * 15)) == 1
+        assert len(one_series([1] * 15)) == 1
 
     def test_fourteen_sessions_no_sample(self):
-        w = series_of([1] * 14)
+        w = one_series([1] * 14)
         assert len(w) == 0
         assert w.values.shape == (0, 12) and w.future.shape == (0, 3) and w.end_date.shape == (0,)
 
     def test_future_binarized_before_sum(self):
         # raw futures (0,2,0) binarize to (0,1,0): one active session -> low
-        w = series_of([1] * 12 + [0, 2, 0])
+        w = one_series([1] * 12 + [0, 2, 0])
         assert w.future[0].tolist() == [0, 1, 0]
         assert w.label[0] == 0
 
     def test_window_end_date_is_twelfth_session_start(self):
         # session 11 (the 12th) is the Friday-Sunday half of week 5
-        w = series_of(list(range(15)))
+        w = one_series(list(range(15)))
         assert w.end_date.tolist() == [date(2018, 8, 13) + timedelta(days=7 * 5 + 4)]
 
     def test_window_count_formula(self):
         for n in (0, 5, 14, 15, 16, 29, 30):
-            assert len(series_of([1] * n)) == max(0, n - 14)
+            assert len(one_series([1] * n)) == max(0, n - 14)
 
     @given(st.lists(st.integers(0, 4), max_size=30))
     def test_matches_naive_enumeration(self, values):
-        w = series_of(values)
+        w = one_series(values)
         naive = []
         for i in range(len(values)):
             chunk = values[i : i + 15]
@@ -220,26 +192,25 @@ class TestExtractWindows:
 
 class TestDatabaseWindows:
     def test_session_values_bounded(self, small_cleansed):
-        for events in small_cleansed.events_by_user().values():
-            period = round_active_period(min(e.timestamp for e in events), max(e.timestamp for e in events))
-            values = session_values(events, period)
-            assert ((0 <= values) & (values <= 4)).all()
+        users, _, start, values = session_values(small_cleansed.events)
+        assert users.tolist() == list(range(len(small_cleansed.profiles)))
+        assert len(values) == start[-1] and ((0 <= values) & (values <= 4)).all()
 
     def test_windows_merged_in_user_order(self, small_cleansed):
         users = windows_for_database(small_cleansed).user_id.tolist()
         assert users == sorted(users)
 
     def test_iterates_rows_as_python_values(self):
-        w = series_of([1] * 12 + [0, 2, 0, 3])
+        w = one_series([1] * 12 + [0, 2, 0, 3])
         rows = list(w)
         assert [tuple(r) for r in rows] == [
             ("u", [1] * 12, [0, 1, 0], 0, date(2018, 9, 21)),
             ("u", [1] * 11 + [0], [1, 0, 1], 1, date(2018, 9, 24)),
         ]
-        assert rows[1].user_id == "u" and rows[1].label == 1 and list(series_of([1] * 14)) == []
+        assert rows[1].user_id == "u" and rows[1].label == 1 and list(one_series([1] * 14)) == []
 
     def test_no_database_windows_keeps_column_shapes(self):
-        w = windows_for_database(RawDatabase([ev("u", Activity.PHYSICAL, date(2018, 8, 13))], {}))
+        w = windows_for_database(events_db([ev("u", Activity.PHYSICAL, date(2018, 8, 13))]))
         assert len(w) == 0
         assert [c.shape for c in (w.user_id, w.values, w.future, w.label, w.end_date)] == \
             [(0,), (0, 12), (0, 3), (0,), (0,)]
@@ -248,13 +219,4 @@ class TestDatabaseWindows:
     @settings(max_examples=200, deadline=None)
     @given(event_sets())
     def test_matches_record_reference(self, events):
-        ref = reference_database_windows(events)
-        w = windows_for_database(RawDatabase(list(events), {}))
-        assert len(w) == len(ref)
-        assert [c.dtype.kind for c in (w.user_id, w.values, w.future, w.label)] == ["U", "i", "i", "i"]
-        assert w.end_date.dtype == np.dtype("datetime64[D]")
-        assert w.user_id.tolist() == [s.user_id for s in ref]
-        assert w.values.tolist() == [list(s.values) for s in ref]
-        assert w.future.tolist() == [list(s.future) for s in ref]
-        assert w.label.tolist() == [s.label for s in ref]
-        assert w.end_date.tolist() == [s.window_end_date for s in ref]
+        assert_same_windows(windows_for_database(events_db(events)), reference_database_windows(events))
