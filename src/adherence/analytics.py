@@ -209,7 +209,8 @@ def duplicate_analysis(ds: TabularDataset) -> DuplicateReport:
     differ and NaNs with equal bit patterns group together.
     """
     y = ds.y if ds.y is not None else np.zeros(ds.n_rows, dtype=np.int64)
-    rows = ds.X.view(np.dtype((np.void, ds.X.itemsize * ds.n_cols))).ravel()
+    # numpy has no zero-byte void type: the rows of a dataset with no column are one group
+    rows = ds.X.view(np.dtype((np.void, ds.X.itemsize * ds.n_cols))).ravel() if ds.n_cols else np.zeros(ds.n_rows)
     _, group, multiplicity = np.unique(rows, return_inverse=True, return_counts=True)
     n_high = np.bincount(group, weights=y, minlength=len(multiplicity)).astype(np.int64)
     dup = multiplicity >= 2

@@ -107,7 +107,6 @@ def cmd_generate(args, cfg: dict, out: Path):
     seed = _setting(cfg, "generate.seed", int, _setting(cfg, "seed", int, 0), flag=args.seed)
     try:
         synth_cfg = _synth_config(section, seed)
-        synth_cfg.validate()
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid generation config: {exc}") from None
     db = synthgen.generate(synth_cfg)

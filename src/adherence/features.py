@@ -143,18 +143,14 @@ def fit_preprocess(ds: TabularDataset) -> PreprocessState:
     """Learn imputation modes and static-column min/max from training rows."""
     if ds.n_rows < 1:
         raise ValueError("cannot fit preprocessing on an empty dataset")
-    modes = np.array([column_mode(ds.X[:, j]) for j in range(ds.n_cols)])
+    modes = np.array([column_mode(column) for column in ds.X.T])
     static = ds.static_mask()
-    imputed = np.where(np.isnan(ds.X), modes[None, :], ds.X)
-    scale_min = np.full(ds.n_cols, np.nan)
-    scale_max = np.full(ds.n_cols, np.nan)
-    scale_min[static] = imputed[:, static].min(axis=0)
-    scale_max[static] = imputed[:, static].max(axis=0)
+    imputed = np.where(np.isnan(ds.X), modes, ds.X)
     return PreprocessState(
         column_names=list(ds.column_names),
         modes=modes,
-        scale_min=scale_min,
-        scale_max=scale_max,
+        scale_min=np.where(static, imputed.min(axis=0), np.nan),
+        scale_max=np.where(static, imputed.max(axis=0), np.nan),
         static=static,
         fitted_on=ds.n_rows,
     )
@@ -163,21 +159,21 @@ def fit_preprocess(ds: TabularDataset) -> PreprocessState:
 def transform(ds: TabularDataset, state: PreprocessState) -> TabularDataset:
     """Impute nulls and min-max scale static columns into [0, 1].
 
-    Out-of-range values (possible on validation rows) are clamped; a column
-    that was constant at fit time maps to 0.
+    One affine map per column: a scaled column takes (x - min) / (max - min) clipped to [0, 1],
+    which clamps out-of-range validation rows; every other column takes (x - 0) / 1, which leaves
+    it exactly as imputed. A static column that was constant at fit time maps to 0.
     """
     if list(ds.column_names) != state.column_names:
         raise ValueError("dataset columns do not match the fitted preprocessing state")
-    X = np.where(np.isnan(ds.X), state.modes[None, :], ds.X)
-    static = state.static
-    lo = state.scale_min[static]
-    hi = state.scale_max[static]
-    span = hi - lo
-    block = X[:, static]
-    scaled = np.zeros_like(block)
-    nonconst = span > 0
-    scaled[:, nonconst] = np.clip((block[:, nonconst] - lo[nonconst]) / span[nonconst], 0.0, 1.0)
-    X[:, static] = scaled
+    span = state.scale_max - state.scale_min
+    scaled = state.static & (span > 0)
+    X = np.where(np.isnan(ds.X), state.modes, ds.X)
+    X -= np.where(scaled, state.scale_min, 0.0)
+    X /= np.where(scaled, span, 1.0)
+    # clip by comparison, as np.clip does with scalar bounds; with array bounds it turns -0.0 into 0.0
+    np.copyto(X, 0.0, where=scaled & (X < 0.0))
+    np.copyto(X, 1.0, where=scaled & (X > 1.0))
+    X[:, state.static & ~scaled] = 0.0
     return TabularDataset(list(ds.column_names), X, None if ds.y is None else ds.y.copy())
 
 

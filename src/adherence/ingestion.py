@@ -216,6 +216,14 @@ def _read_table(path: Path, required: list[str], table: str) -> tuple[list[str],
     return header, rows
 
 
+def _column_index(header: list[str], known, table: str) -> dict[str, int]:
+    """Each header column's index; the columns outside known are warned about once, and then ignored."""
+    extra = [c for c in header if c not in known]
+    if extra:
+        warnings.warn(f"{table}: ignoring extra column(s) {extra}")
+    return {c: header.index(c) for c in header}
+
+
 def _user_rows(header: list[str], rows: list[list[str]], table: str,
                rejects: list[RejectedRow]) -> Iterator[tuple[int, str, list[str]]]:
     """Yield (row number, user_id, row) for each non-blank row; short rows and
@@ -242,11 +250,7 @@ def _parse_acquisitions(path: Path, activity: Activity, table: str,
                         rejects: list[RejectedRow]) -> list[tuple[str, int, int]]:
     """The user_id, activity code and date.toordinal() of each accepted row."""
     header, rows = _read_table(path, ["user_id", "timestamp"], table)
-    known = {"user_id", "timestamp", "activity"}
-    extra = [c for c in header if c not in known]
-    if extra:
-        warnings.warn(f"{table}: ignoring extra column(s) {extra}")
-    idx = {c: header.index(c) for c in header}
+    idx = _column_index(header, ("user_id", "timestamp", "activity"), table)
     has_activity = "activity" in idx
     events = []
     for i, user_id, row in _user_rows(header, rows, table, rejects):
@@ -279,10 +283,7 @@ def _parse_demographics(path: Path, rejects: list[RejectedRow]) -> dict[str, tup
     table = "demographics"
     required = ["user_id", "status", *DEMOGRAPHIC_FIELDS]
     header, rows = _read_table(path, required, table)
-    extra = [c for c in header if c not in required]
-    if extra:
-        warnings.warn(f"{table}: ignoring extra column(s) {extra}")
-    idx = {c: header.index(c) for c in header}
+    idx = _column_index(header, required, table)
     profiles: dict[str, tuple[int, list[float]]] = {}
     for i, user_id, row in _user_rows(header, rows, table, rejects):
         if user_id in profiles:
@@ -326,10 +327,7 @@ def _parse_questionnaire(path: Path, qid: str, instance: int,
     unknown_q = [c for c in header if c.startswith("Q") and c[1:].isdigit() and c not in q_cols]
     if unknown_q:
         raise IngestError(f"{table}: unknown column(s) {unknown_q}")
-    extra = [c for c in header if c not in ("user_id", *q_cols)]
-    if extra:
-        warnings.warn(f"{table}: ignoring extra column(s) {extra}")
-    idx = {c: header.index(c) for c in header}
+    idx = _column_index(header, ("user_id", *q_cols), table)
     seen: set[str] = set()
     users: list[str] = []
     answers: list[list[float]] = []

@@ -80,7 +80,7 @@ class SynthConfig:
     null_rates: dict[tuple[str, int], float] = field(default_factory=lambda: dict(DEFAULT_NULL_RATES))
     demographic_ranges: dict[str, tuple[int, int]] = field(default_factory=lambda: dict(DEFAULT_DEMOGRAPHIC_RANGES))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if self.start_date >= self.end_date:
@@ -117,7 +117,6 @@ _SESSION_OFFSETS = ((0, 1, 2, 3), (4, 5, 6))  # MonThu days, FriSun days
 
 def generate(cfg: SynthConfig) -> RawDatabase:
     """Deterministically generate a database for the given config."""
-    cfg.validate()
     rng = substream(cfg.seed, "synthgen")
     total_days = (cfg.end_date - cfg.start_date).days
     first_day, last_day = cfg.start_date.toordinal(), cfg.end_date.toordinal()
@@ -177,12 +176,10 @@ def generate(cfg: SynthConfig) -> RawDatabase:
                 null_rate = cfg.null_rates.get((qid, instance), 0.0)
                 responds = rng.random() >= null_rate
                 latent = float(rng.normal())
-                items = []
-                for _ in range(QUESTIONNAIRE_ITEMS[qid]):
-                    raw = mid + 0.9 * latent + float(rng.normal()) * 0.6
-                    items.append(int(min(hi, max(lo, round(raw)))))
+                # one draw of every item gives the doubles of one draw per item; rint rounds half to even, as round does
+                raw = mid + 0.9 * latent + rng.normal(size=QUESTIONNAIRE_ITEMS[qid]) * 0.6
                 if responds:
-                    static[i, answer_columns(qid, instance)] = items
+                    static[i, answer_columns(qid, instance)] = np.clip(np.rint(raw), lo, hi)
 
     # the ids sort like the users' numbers only below 100,000 users
     user_id = np.array([f"u{i:05d}" for i in range(cfg.n_users)])

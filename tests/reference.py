@@ -5,7 +5,9 @@
 in a dict of tuples. Besides their old rules they reject a NUL in a user_id and
 an integer beyond the float range, as the columnar parser does.
 `reference_database_windows` is the per-user sessionizer: one `Session` per
-half week, one `WindowSample` per window.
+half week, one `WindowSample` per window. `fit_preprocess` and `transform` are
+the masked preprocessing: static columns gathered into a block, and the
+non-constant ones scaled as a sub-block and scattered back.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from adherence.ingestion import (
     _read_table,
     parse_activity,
 )
+from adherence.features import PreprocessState, TabularDataset, column_mode
 
 
 @dataclass(frozen=True)
@@ -341,3 +344,36 @@ def assert_same_windows(w, ref) -> None:
     assert w.future.tolist() == [list(s.future) for s in ref]
     assert w.label.tolist() == [s.label for s in ref]
     assert w.end_date.tolist() == [s.window_end_date for s in ref]
+
+
+# ---------------------------------------------------------------------------
+# The masked preprocessing
+
+def fit_preprocess(ds: TabularDataset) -> PreprocessState:
+    if ds.n_rows < 1:
+        raise ValueError("cannot fit preprocessing on an empty dataset")
+    modes = np.array([column_mode(ds.X[:, j]) for j in range(ds.n_cols)])
+    static = ds.static_mask()
+    imputed = np.where(np.isnan(ds.X), modes[None, :], ds.X)
+    scale_min = np.full(ds.n_cols, np.nan)
+    scale_max = np.full(ds.n_cols, np.nan)
+    scale_min[static] = imputed[:, static].min(axis=0)
+    scale_max[static] = imputed[:, static].max(axis=0)
+    return PreprocessState(column_names=list(ds.column_names), modes=modes, scale_min=scale_min,
+                           scale_max=scale_max, static=static, fitted_on=ds.n_rows)
+
+
+def transform(ds: TabularDataset, state: PreprocessState) -> TabularDataset:
+    if list(ds.column_names) != state.column_names:
+        raise ValueError("dataset columns do not match the fitted preprocessing state")
+    X = np.where(np.isnan(ds.X), state.modes[None, :], ds.X)
+    static = state.static
+    lo = state.scale_min[static]
+    hi = state.scale_max[static]
+    span = hi - lo
+    block = X[:, static]
+    scaled = np.zeros_like(block)
+    nonconst = span > 0
+    scaled[:, nonconst] = np.clip((block[:, nonconst] - lo[nonconst]) / span[nonconst], 0.0, 1.0)
+    X[:, static] = scaled
+    return TabularDataset(list(ds.column_names), X, None if ds.y is None else ds.y.copy())

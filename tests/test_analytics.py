@@ -275,6 +275,13 @@ class TestDuplicateAnalysis:
         assert a.multiplicity_histogram == b.multiplicity_histogram
         assert a.duplicates == b.duplicates
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 3])
+    def test_rows_without_columns_are_one_group(self, n_rows):
+        report = duplicate_analysis(make_dataset(np.empty((n_rows, 0)), [1] * n_rows, columns=[]))
+        assert (report.n_rows, report.n_distinct) == (n_rows, min(n_rows, 1))
+        assert report.multiplicity_histogram == ({n_rows: 1} if n_rows else {})
+        assert report.duplicates == ([DuplicateGroup(3, 0, 3)] if n_rows == 3 else [])
+
     def test_rows_compare_as_bytes(self):
         """0.0 and -0.0 are two tuples; NaNs of one bit pattern are one."""
         ds = make_dataset([[0.0, math.nan], [-0.0, math.nan], [0.0, math.nan], [-0.0, 1.0]], [1, 0, 1, 0])

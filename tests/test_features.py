@@ -7,9 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import reference
 from adherence import features
 from adherence.artifact import write_csv
 from adherence.features import (
@@ -18,6 +19,7 @@ from adherence.features import (
     VARIANT_COLUMN_COUNTS,
     VARIANT_COLUMNS,
     VARIANTS,
+    PreprocessState,
     TabularDataset,
     _format_cell,
     build_variant,
@@ -200,6 +202,63 @@ class TestPreprocess:
         ds = make_dataset(np.empty((0, 2)), np.empty(0, dtype=int), columns=["a", "b"])
         with pytest.raises(ValueError, match="empty"):
             fit_preprocess(ds)
+
+
+# NaN, both zeros, both infinities, subnormals and the smallest normal, besides any float
+PREPROCESS_VALUES = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 3.0]))
+
+
+@st.composite
+def preprocess_case(draw):
+    """A training set whose columns are free, constant or all null, validation rows drawn wider than
+    it, and a state built directly whose bounds may be NaN or infinite, as a model file may carry."""
+    n_cols = draw(st.integers(1, 6))
+    names = draw(st.lists(st.sampled_from(["S1", "S2", "S12", "S", "age", "spq1_q1", "week", "x"]),
+                          min_size=n_cols, max_size=n_cols, unique=True))
+    n_rows = draw(st.integers(1, 8))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["free", "constant", "null"]), min_size=n_cols, max_size=n_cols)):
+        if kind == "free":
+            columns.append(draw(st.lists(PREPROCESS_VALUES, min_size=n_rows, max_size=n_rows)))
+        else:
+            value = draw(PREPROCESS_VALUES) if kind == "constant" else math.nan
+            nulls = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+            columns.append([math.nan if null else value for null in nulls])
+    train = make_dataset(np.array(columns).T, np.arange(n_rows) % 2, columns=names)
+    wider = st.one_of(PREPROCESS_VALUES, st.floats(-1e300, 1e300))
+    valid = make_dataset(draw(arrays(np.float64, (draw(st.integers(0, 6)), n_cols), elements=wider)), None,
+                         columns=names)
+    vector = arrays(np.float64, n_cols, elements=PREPROCESS_VALUES)
+    direct = PreprocessState(
+        column_names=list(names),
+        modes=draw(arrays(np.float64, n_cols, elements=st.floats(allow_nan=False))),  # column_mode is never NaN
+        scale_min=draw(vector),
+        scale_max=draw(vector),
+        static=draw(arrays(np.bool_, n_cols)),
+        fitted_on=n_rows,
+    )
+    return train, valid, direct
+
+
+class TestPreprocessOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(preprocess_case())
+    def test_matches_masked_reference_bytes(self, case):
+        """The whole-matrix preprocessing gives the masked one's bytes: every state array and every X."""
+        train, valid, direct = case
+        with np.errstate(all="ignore"):  # inf - inf and overflowing spans warn alike in both
+            state, ref_state = fit_preprocess(train), reference.fit_preprocess(train)
+            assert (state.column_names, state.fitted_on) == (ref_state.column_names, ref_state.fitted_on)
+            for name in ("modes", "scale_min", "scale_max", "static"):
+                a, b = getattr(state, name), getattr(ref_state, name)
+                assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+            for fitted, ref_fitted in ((state, ref_state), (direct, direct)):
+                for ds in (train, valid):
+                    out, ref = transform(ds, fitted), reference.transform(ds, ref_fitted)
+                    assert (out.X.dtype, out.X.shape, out.X.tobytes()) == (ref.X.dtype, ref.X.shape, ref.X.tobytes())
+                    assert out.column_names == ref.column_names
+                    assert (out.y is None and ref.y is None) or out.y.tobytes() == ref.y.tobytes()
 
 
 class TestCsvRoundTrip:

@@ -1,5 +1,6 @@
 import csv
 import tempfile
+import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -122,6 +123,25 @@ class TestParseDatabase:
             db = parse_database(DatabasePaths.from_dir(empty_db_dir))
         assert len(db.events) == 1
 
+    @pytest.mark.parametrize("table, row", [
+        ("acquisitions_physical", ["u1", "2018-08-13"]),
+        ("demographics", demo_row("u1")),
+        ("spq_1", ["u1", 1, 2, 3, 4, 5, 1]),
+    ])
+    def test_extra_column_warns_once_in_each_kind_of_table(self, empty_db_dir, table, row):
+        """The warning of each kind of table is the record parser's, word for word, and comes once."""
+        path = empty_db_dir / f"{table}.csv"
+        header = next(csv.reader([path.read_text(encoding="utf-8")]))
+        write_csv(path, [[*header, "note", "device"], [*row, "x", "tablet"]])
+        caught = {}
+        for name, parse in (("columns", parse_database), ("records", reference.parse_database)):
+            with warnings.catch_warnings(record=True) as caught[name]:
+                warnings.simplefilter("always")
+                parse(DatabasePaths.from_dir(empty_db_dir))
+        messages = [str(w.message) for w in caught["columns"]]
+        assert messages == [f"{table}: ignoring extra column(s) ['note', 'device']"]
+        assert messages == [str(w.message) for w in caught["records"]]
+
     def test_unparseable_timestamp_rejected(self, empty_db_dir):
         write_csv(
             empty_db_dir / "acquisitions_mindfulness.csv",
@@ -132,12 +152,15 @@ class TestParseDatabase:
         assert len(db.events) == 1
 
     def test_unknown_questionnaire_column_errors(self, empty_db_dir):
+        """Q7 is a schema violation, raised before the extra column "note" is warned about."""
         write_csv(
             empty_db_dir / "spq_1.csv",
-            [["user_id", "Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"], ["u1", 1, 2, 3, 4, 5, 1, 2]],
+            [["user_id", "note", "Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"], ["u1", "x", 1, 2, 3, 4, 5, 1, 2]],
         )
-        with pytest.raises(IngestError, match="unknown column"):
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(IngestError, match=r"\['Q7'\]"):
+            warnings.simplefilter("always")
             parse_database(DatabasePaths.from_dir(empty_db_dir))
+        assert caught == []
 
     def test_out_of_range_ordinal_rejected(self, empty_db_dir):
         row = demo_row("u1")

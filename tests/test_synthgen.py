@@ -22,23 +22,23 @@ def file_bytes(directory: Path) -> dict[str, bytes]:
 class TestConfigValidation:
     def test_zero_users(self):
         with pytest.raises(ValueError, match="n_users"):
-            SynthConfig(n_users=0).validate()
+            SynthConfig(n_users=0)
 
     def test_inverted_dates(self):
         with pytest.raises(ValueError, match="start_date"):
-            SynthConfig(start_date=date(2020, 1, 1), end_date=date(2019, 1, 1)).validate()
+            SynthConfig(start_date=date(2020, 1, 1), end_date=date(2019, 1, 1))
 
     def test_bad_probability(self):
         with pytest.raises(ValueError, match="dropout_hazard"):
-            SynthConfig(dropout_hazard=1.5).validate()
+            SynthConfig(dropout_hazard=1.5)
 
     def test_bad_null_rate(self):
         with pytest.raises(ValueError, match="null rate"):
-            SynthConfig(null_rates={("ucla", 3): 1.2}).validate()
+            SynthConfig(null_rates={("ucla", 3): 1.2})
 
     def test_unknown_questionnaire(self):
         with pytest.raises(ValueError, match="unknown questionnaire"):
-            SynthConfig(null_rates={("who5", 1): 0.1}).validate()
+            SynthConfig(null_rates={("who5", 1): 0.1})
 
     def test_generate_rejects_invalid(self):
         with pytest.raises(ValueError):
