@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import LABEL_COLUMN, S_COLUMNS, TabularDataset, column_mode
+from .features import LABEL_COLUMN, S_COLUMNS, TabularDataset, fit_preprocess
 from .ingestion import DEMOGRAPHIC_FIELDS, QUESTIONNAIRE_INSTANCES, QUESTIONNAIRE_ITEMS, Profiles, answer_columns
 from .sessionize import WINDOW_SESSIONS, Windows
 
@@ -133,17 +133,20 @@ class FieldSummary:
 
 
 def demographic_summary(profiles: Profiles) -> dict[str, FieldSummary]:
-    """Min/max/mean/mode per demographic field over non-null values."""
+    """Min/max/mean/mode per demographic field over non-null values; the modes are fit_preprocess's."""
+    fields = list(DEMOGRAPHIC_FIELDS)
+    block = profiles.static[:, : len(fields)]
+    empty = [name for name, column in zip(fields, block.T) if np.isnan(column).all()]
+    if empty:
+        raise ValueError(f"no non-null values for demographic field {empty[0]!r}")
     out: dict[str, FieldSummary] = {}
-    for name, column in zip(DEMOGRAPHIC_FIELDS, profiles.static.T):
+    for name, column, mode in zip(fields, block.T, fit_preprocess(TabularDataset(fields, block, None)).modes):
         values = column[~np.isnan(column)]
-        if values.size == 0:
-            raise ValueError(f"no non-null values for demographic field {name!r}")
         out[name] = FieldSummary(
             minimum=float(values.min()),
             maximum=float(values.max()),
             mean=float(values.mean()),
-            mode=column_mode(values),
+            mode=float(mode),
         )
     return out
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .artifact import canonical_json, write_csv, write_json
-from .features import TabularDataset, fit_preprocess, transform
+from .features import ColumnCodes, TabularDataset, fit_preprocess, transform
 from .learn import build_model, model_kind
 from .resample import ResampleConfig, oversample
 from .rng import substream, substream_seed
@@ -221,23 +221,23 @@ def cross_validate(
 
     Within each fold, imputation/scaling statistics are fitted on training rows
     only, resampling touches training rows only, and the validation rows reach
-    the model untouched.
+    the model untouched. The dataset is encoded once, and each fold's
+    statistics are its totals with the fold's validation rows held out.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     y = ds.labels()
     folds = kfold_split(ds.n_rows, k=k, labels=y, seed=seed)
-    all_rows = np.arange(ds.n_rows)
+    encoded = ColumnCodes(ds)
 
     def run_fold(f: int) -> FoldResult:
         try:
             val_idx = folds[f]
-            train_idx = np.setdiff1d(all_rows, val_idx)
-            tr = ds.subset(train_idx)
-            va = ds.subset(val_idx)
-            state = fit_preprocess(tr)
-            tr = transform(tr, state)
-            va = transform(va, state)
+            state = fit_preprocess(encoded, held_out=val_idx)
+            train = np.ones(ds.n_rows, dtype=bool)
+            train[val_idx] = False
+            tr = transform(ds.subset(train), state)
+            va = transform(ds.subset(val_idx), state)
             if resample_cfg is not None:
                 tr = oversample(tr, _with_seed(resample_cfg, substream_seed(seed, "resample", f)))
             model = build_model(_with_seed(model_cfg, substream_seed(seed, "model", f)))

@@ -130,29 +130,74 @@ class PreprocessState:
             raise ValueError("static must be a boolean mask")
 
 
-def column_mode(values: np.ndarray) -> float:
-    """Most frequent non-null value; ties take the smallest; all-null gives 0."""
-    finite = values[~np.isnan(values)]
-    if finite.size == 0:
-        return 0.0
-    uniq, counts = np.unique(finite, return_counts=True)
-    return float(uniq[np.argmax(counts)])  # np.unique sorts, so argmax tie -> smallest
+class ColumnCodes:
+    """A dataset encoded once, so that the preprocessing statistics of any set of its rows are counts.
+
+    Column j owns the slots from start[j] on: its distinct non-null values in ascending order, then
+    one null slot (NaN). codes[j, i] is the slot of cell (i, j) counted from start[j], in the
+    narrowest unsigned type that holds every code, and totals holds each slot's count over all rows.
+    Cells are encoded as x + 0.0, so -0.0 is +0.0 and a zero statistic is always +0.0.
+    """
+
+    def __init__(self, ds: TabularDataset) -> None:
+        self.column_names = list(ds.column_names)
+        self.static = ds.static_mask()
+        self.n_rows = ds.n_rows
+        values, codes, totals = [], [], []
+        for column in ds.X.T:
+            column = column + 0.0
+            distinct = np.unique(column)  # ascending, and the NaNs last, as one
+            if not distinct.size or not np.isnan(distinct[-1]):
+                distinct = np.append(distinct, np.nan)
+            code = np.searchsorted(distinct, column)  # NaN sorts last, so a null cell finds the null slot
+            values.append(distinct)
+            codes.append(code.astype(np.min_scalar_type(distinct.size - 1)))  # one int64 column at a time
+            totals.append(np.bincount(code, minlength=distinct.size))
+        sizes = np.array([v.size for v in values], dtype=np.intp)
+        self.start = np.cumsum(sizes) - sizes
+        self.column = np.repeat(np.arange(sizes.size), sizes)  # the column of each slot
+        self.values = np.concatenate([[], *values])
+        self.totals = np.concatenate([np.zeros(0, dtype=np.intp), *totals])
+        dtype = np.min_scalar_type(sizes.max(initial=1) - 1)
+        self.codes = np.array(codes, dtype=dtype).reshape(sizes.size, ds.n_rows)
 
 
-def fit_preprocess(ds: TabularDataset) -> PreprocessState:
-    """Learn imputation modes and static-column min/max from training rows."""
-    if ds.n_rows < 1:
+def fit_preprocess(data: TabularDataset | ColumnCodes, held_out: np.ndarray = ()) -> PreprocessState:
+    """Learn imputation modes and static-column min/max from the rows of data not in held_out.
+
+    A dataset is encoded first. Cross-validation encodes it once and holds out each fold's
+    validation rows (distinct indices), so a fold's counts are the totals minus theirs. Per column
+    the mode is the most frequent non-null value, a tie taking the smallest, and min and max are the
+    smallest and largest non-null values; a column without one gives 0.0 for all three. The imputed
+    column has the same min and max, because its mode is one of its values.
+    """
+    enc = data if isinstance(data, ColumnCodes) else ColumnCodes(data)
+    held_out = np.asarray(held_out, dtype=np.intp)
+    if enc.n_rows - held_out.size < 1:
         raise ValueError("cannot fit preprocessing on an empty dataset")
-    modes = np.array([column_mode(column) for column in ds.X.T])
-    static = ds.static_mask()
-    imputed = np.where(np.isnan(ds.X), modes, ds.X)
+    keys = enc.codes[:, held_out] + enc.start[:, None]  # intp, whatever the type of the codes
+    counts = enc.totals - np.bincount(keys.ravel(), minlength=enc.totals.size)
+    present = (counts > 0) & ~np.isnan(enc.values)
+    slot = np.arange(counts.size)
+    none = counts.size  # the slot past every column's: value[none], which is value[-1], is 0.0
+    value = np.append(enc.values, 0.0)
+
+    def ends(where: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per column, the values of the first and of the last slot where `where` holds, else 0.0."""
+        first = np.minimum.reduceat(np.where(where, slot, none), enc.start)
+        last = np.maximum.reduceat(np.where(where, slot, -1), enc.start)
+        return value[first], value[last]
+
+    best = np.maximum.reduceat(np.where(present, counts, 0), enc.start)
+    modes, _ = ends(present & (counts == best[enc.column]))
+    scale_min, scale_max = ends(present)
     return PreprocessState(
-        column_names=list(ds.column_names),
+        column_names=list(enc.column_names),
         modes=modes,
-        scale_min=np.where(static, imputed.min(axis=0), np.nan),
-        scale_max=np.where(static, imputed.max(axis=0), np.nan),
-        static=static,
-        fitted_on=ds.n_rows,
+        scale_min=np.where(enc.static, scale_min, np.nan),
+        scale_max=np.where(enc.static, scale_max, np.nan),
+        static=enc.static,
+        fitted_on=enc.n_rows - held_out.size,
     )
 
 

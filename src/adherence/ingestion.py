@@ -48,6 +48,8 @@ DEMOGRAPHIC_FIELDS = (
     "use_case",
 )
 
+MAX_USER_ID = 64  # characters; a row with a longer user_id is a reject
+
 # Valid ranges for ordinal demographic fields; rows outside these are rejected.
 DEMOGRAPHIC_RANGES = {
     "education": (0, 8),
@@ -227,8 +229,9 @@ def _column_index(header: list[str], known, table: str) -> dict[str, int]:
 def _user_rows(header: list[str], rows: list[list[str]], table: str,
                rejects: list[RejectedRow]) -> Iterator[tuple[int, str, list[str]]]:
     """Yield (row number, user_id, row) for each non-blank row; short rows and
-    rows with an empty user_id or a NUL in it are recorded as rejects (numpy
-    text arrays drop trailing NULs, so "u1\0" would merge with "u1")."""
+    rows with an empty user_id, a NUL in it (numpy text arrays drop trailing
+    NULs, so "u1\0" would merge with "u1") or one longer than MAX_USER_ID
+    characters (every user_id array is as wide as its longest) are rejects."""
     uid = header.index("user_id")
     for i, row in enumerate(rows, start=1):
         if not row or all(not c.strip() for c in row):
@@ -242,6 +245,9 @@ def _user_rows(header: list[str], rows: list[list[str]], table: str,
             continue
         if "\0" in user_id:
             rejects.append(RejectedRow(table, i, "NUL in user_id"))
+            continue
+        if len(user_id) > MAX_USER_ID:
+            rejects.append(RejectedRow(table, i, "user_id too long"))
             continue
         yield i, user_id, row
 

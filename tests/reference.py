@@ -2,12 +2,14 @@
 
 `parse_database` and `cleanse` are the record parser and cleanser: one
 `AcquisitionEvent` per event and one `UserProfile` per user, whose answers sit
-in a dict of tuples. Besides their old rules they reject a NUL in a user_id and
-an integer beyond the float range, as the columnar parser does.
+in a dict of tuples. Besides their old rules they reject a NUL in a user_id, a
+user_id longer than MAX_USER_ID and an integer beyond the float range, as the
+columnar parser does.
 `reference_database_windows` is the per-user sessionizer: one `Session` per
 half week, one `WindowSample` per window. `fit_preprocess` and `transform` are
-the masked preprocessing: static columns gathered into a block, and the
-non-constant ones scaled as a sub-block and scattered back.
+the masked preprocessing: one `np.unique` per column for the modes, static
+columns gathered into a block, and the non-constant ones scaled as a
+sub-block and scattered back.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from adherence.ingestion import (
     ACTIVITY_FILE_STEMS,
     DEMOGRAPHIC_FIELDS,
     DEMOGRAPHIC_RANGES,
+    MAX_USER_ID,
     MIN_SPAN_DAYS,
     QUESTIONNAIRE_INSTANCES,
     QUESTIONNAIRE_ITEMS,
@@ -39,7 +42,7 @@ from adherence.ingestion import (
     _read_table,
     parse_activity,
 )
-from adherence.features import PreprocessState, TabularDataset, column_mode
+from adherence.features import PreprocessState, TabularDataset
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,9 @@ def _user_rows(header, rows, table, rejects):
             continue
         if "\0" in user_id:
             rejects.append(RejectedRow(table, i, "NUL in user_id"))
+            continue
+        if len(user_id) > MAX_USER_ID:
+            rejects.append(RejectedRow(table, i, "user_id too long"))
             continue
         yield i, user_id, row
 
@@ -349,12 +355,23 @@ def assert_same_windows(w, ref) -> None:
 # ---------------------------------------------------------------------------
 # The masked preprocessing
 
+def column_mode(values: np.ndarray) -> float:
+    """Most frequent non-null value; ties take the smallest; all-null gives 0."""
+    finite = values[~np.isnan(values)]
+    if finite.size == 0:
+        return 0.0
+    uniq, counts = np.unique(finite, return_counts=True)
+    return float(uniq[np.argmax(counts)])  # np.unique sorts, so argmax tie -> smallest
+
+
 def fit_preprocess(ds: TabularDataset) -> PreprocessState:
+    """The statistics of X + 0.0, so that every zero statistic is +0.0 whichever zeros a column holds."""
     if ds.n_rows < 1:
         raise ValueError("cannot fit preprocessing on an empty dataset")
-    modes = np.array([column_mode(ds.X[:, j]) for j in range(ds.n_cols)])
+    X = ds.X + 0.0
+    modes = np.array([column_mode(X[:, j]) for j in range(ds.n_cols)])
     static = ds.static_mask()
-    imputed = np.where(np.isnan(ds.X), modes[None, :], ds.X)
+    imputed = np.where(np.isnan(X), modes[None, :], X)
     scale_min = np.full(ds.n_cols, np.nan)
     scale_max = np.full(ds.n_cols, np.nan)
     scale_min[static] = imputed[:, static].min(axis=0)

@@ -19,11 +19,11 @@ from adherence.features import (
     VARIANT_COLUMN_COUNTS,
     VARIANT_COLUMNS,
     VARIANTS,
+    ColumnCodes,
     PreprocessState,
     TabularDataset,
     _format_cell,
     build_variant,
-    column_mode,
     fit_preprocess,
     read_dataset_csv,
     static_matrix,
@@ -141,15 +141,29 @@ class TestBuildVariant:
             build_variant(sample_for("ghost"), make_profiles([]))
 
 
+def mode_of(values):
+    """The imputation mode fit_preprocess fits on one column."""
+    return fit_preprocess(make_dataset(np.c_[values], None)).modes[0]
+
+
 class TestPreprocess:
     def test_mode_ignores_nulls(self):
-        assert column_mode(np.array([1.0, 2.0, 2.0, math.nan])) == 2.0
+        assert mode_of([1.0, 2.0, 2.0, math.nan]) == 2.0
 
     def test_mode_tie_smallest(self):
-        assert column_mode(np.array([1.0, 1.0, 2.0, 2.0])) == 1.0
+        assert mode_of([1.0, 1.0, 2.0, 2.0]) == 1.0
 
     def test_mode_all_null_zero(self):
-        assert column_mode(np.array([math.nan, math.nan])) == 0.0
+        assert mode_of([math.nan, math.nan]) == 0.0
+
+    @pytest.mark.parametrize("column", [[0.0, -0.0], [-0.0, 0.0], [math.nan, -0.0]])
+    def test_signed_zeros_fit_as_plus_zero(self, column):
+        """Counts cannot tell the two zeros apart, so every zero statistic is +0.0, also with a row held out."""
+        ds = make_dataset(np.c_[column + [5.0]], None, columns=["age"])
+        for state in (fit_preprocess(ds.subset(np.arange(2))), fit_preprocess(ColumnCodes(ds), held_out=[2])):
+            for name in ("modes", "scale_min", "scale_max"):
+                assert getattr(state, name).tobytes() == np.zeros(1).tobytes(), name
+            assert state.fitted_on == 2
 
     def test_static_scaling(self):
         ds = make_dataset([[2.0], [4.0], [6.0]], [0, 1, 0], columns=["age"])
@@ -232,7 +246,7 @@ def preprocess_case(draw):
     vector = arrays(np.float64, n_cols, elements=PREPROCESS_VALUES)
     direct = PreprocessState(
         column_names=list(names),
-        modes=draw(arrays(np.float64, n_cols, elements=st.floats(allow_nan=False))),  # column_mode is never NaN
+        modes=draw(arrays(np.float64, n_cols, elements=st.floats(allow_nan=False))),  # a fitted mode is never NaN
         scale_min=draw(vector),
         scale_max=draw(vector),
         static=draw(arrays(np.bool_, n_cols)),
@@ -259,6 +273,51 @@ class TestPreprocessOracle:
                     assert (out.X.dtype, out.X.shape, out.X.tobytes()) == (ref.X.dtype, ref.X.shape, ref.X.tobytes())
                     assert out.column_names == ref.column_names
                     assert (out.y is None and ref.y is None) or out.y.tobytes() == ref.y.tobytes()
+
+
+@st.composite
+def held_out_case(draw):
+    """A dataset, and distinct rows held out of it in any order that leave at least one row.
+
+    Besides free, constant and all-null columns there are columns whose non-null values all sit in
+    held-out rows, and columns whose held-out rows share one value that no other row holds: the
+    mode of all rows, but not of the rest.
+    """
+    n_rows = draw(st.integers(1, 10))
+    held = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows).filter(lambda h: not all(h)))
+    n_cols = draw(st.integers(1, 6))
+    names = draw(st.lists(st.sampled_from(["S1", "S2", "S12", "age", "spq1_q1", "week", "x"]),
+                          min_size=n_cols, max_size=n_cols, unique=True))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["free", "constant", "null", "held only", "held value"]),
+                              min_size=n_cols, max_size=n_cols)):
+        values = draw(st.lists(PREPROCESS_VALUES, min_size=n_rows, max_size=n_rows))
+        if kind == "constant":
+            values = [math.nan if math.isnan(v) else values[0] for v in values]
+        elif kind == "null":
+            values = [math.nan] * n_rows
+        elif kind == "held only":
+            values = [v if h else math.nan for v, h in zip(values, held)]
+        elif kind == "held value":
+            values = [7.5 if h else draw(st.sampled_from([math.nan, -1.0, 3.0])) for h in held]
+        columns.append(values)
+    ds = make_dataset(np.array(columns).T, None, columns=names)
+    return ds, draw(st.permutations(np.flatnonzero(held).tolist()))
+
+
+class TestFoldPreprocessOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(held_out_case())
+    def test_held_out_rows_match_reference_on_the_rest(self, case):
+        """Statistics fitted from one encoding with rows held out have the bytes of the masked fit on the rest."""
+        ds, held_out = case
+        rest = ds.subset(np.setdiff1d(np.arange(ds.n_rows), held_out))
+        state = fit_preprocess(ColumnCodes(ds), held_out=np.array(held_out, dtype=int))
+        ref = reference.fit_preprocess(rest)
+        assert (state.column_names, state.fitted_on) == (ref.column_names, ref.fitted_on)
+        for name in ("modes", "scale_min", "scale_max", "static"):
+            a, b = getattr(state, name), getattr(ref, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
 
 
 class TestCsvRoundTrip:

@@ -202,6 +202,21 @@ class TestParseDatabase:
         _, report = cleanse(db)
         assert "u00002" in report.retained and report.n_input_users == 30
 
+    def test_long_user_id_rejected(self, tmp_path):
+        """A user_id past MAX_USER_ID characters is one reject, so it cannot widen every user_id array."""
+        paths = write_database(synthgen.generate(synthgen.SynthConfig(seed=7, n_users=30)), tmp_path / "db")
+        before = parse_database(paths)
+        table = paths.acquisitions[Activity.PHYSICAL]
+        rows = list(csv.reader(table.read_text(encoding="utf-8").splitlines()))
+        write_csv(table, rows + [["u" * 10_000, rows[1][1]]])
+        db = parse_database(paths)
+        assert db.rejects == [*before.rejects, ingestion.RejectedRow(table.stem, len(rows), "user_id too long")]
+        for old, new in ((before.profiles, db.profiles), (before.events, db.events)):
+            for name, column in vars(old).items():
+                assert (column.dtype, column.tobytes()) == (getattr(new, name).dtype, getattr(new, name).tobytes())
+        write_csv(table, rows + [["v" * ingestion.MAX_USER_ID, rows[1][1]]])
+        assert "v" * ingestion.MAX_USER_ID in parse_database(paths).profiles
+
 
 def users_db(users):
     """users: list of (user_id, status, [event dates]); each born in 1940, with Physical events."""
@@ -313,8 +328,8 @@ class TestWriters:
 
 # The user ids of events and answers. " u3 " is u3 once stripped; u4 and "u1\0" never
 # have a demographics row of their own, so they end up ghosts or questionnaire-only
-# stubs, and a NUL in a user_id is always a reject.
-POOL = ["u1", "u2", "u3", " u3 ", "u4", "u1\0"]
+# stubs, and a NUL in a user_id or a user_id past MAX_USER_ID is always a reject.
+POOL = ["u1", "u2", "u3", " u3 ", "u4", "u1\0", "u" * (ingestion.MAX_USER_ID + 1)]
 
 
 def cell(*choices):

@@ -74,4 +74,10 @@ def test_hooks_trace_generate_build_stats_and_cv(tmp_path, tracing, monkeypatch)
     assert len(stats["features.build"]) == 1
     assert len(stats["analytics.stats"]) == 6
     assert len(cv["evaluate.cv"]) == 1 and len(cv["evaluate.fold"]) == 3
+    assert len(cv["features.preprocess"]) == 9  # one fit and two transforms per fold
+    # a fold's span opens at fit_preprocess, so a library call before it would be a child of the cv span
+    [run] = cv["evaluate.cv"]
+    assert {s.name for s in tracer.spans if s.parent == run.id} == {"evaluate.fold"}
+    for fold in cv["evaluate.fold"]:
+        assert [s.name for s in tracer.spans if s.parent == fold.id][:3] == ["features.preprocess"] * 3
     assert not [s.name for s in tracer.spans if s.error]
