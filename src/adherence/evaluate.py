@@ -228,12 +228,12 @@ def cross_validate(
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     y = ds.labels()
     folds = kfold_split(ds.n_rows, k=k, labels=y, seed=seed)
-    encoded = ColumnCodes(ds)
+    codes = ColumnCodes(ds.X)
 
     def run_fold(f: int) -> FoldResult:
         try:
             val_idx = folds[f]
-            state = fit_preprocess(encoded, held_out=val_idx)
+            state = fit_preprocess(ds, held_out=val_idx, codes=codes)
             train = np.ones(ds.n_rows, dtype=bool)
             train[val_idx] = False
             tr = transform(ds.subset(train), state)

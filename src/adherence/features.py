@@ -130,50 +130,55 @@ class PreprocessState:
             raise ValueError("static must be a boolean mask")
 
 
-class ColumnCodes:
-    """A dataset encoded once, so that the preprocessing statistics of any set of its rows are counts.
+_MAX_CODE = 32  # a column of integers in [0, _MAX_CODE] is its own codes
 
-    Column j owns the slots from start[j] on: its distinct non-null values in ascending order, then
-    one null slot (NaN). codes[j, i] is the slot of cell (i, j) counted from start[j], in the
-    narrowest unsigned type that holds every code, and totals holds each slot's count over all rows.
-    Cells are encoded as x + 0.0, so -0.0 is +0.0 and a zero statistic is always +0.0.
+
+class ColumnCodes:
+    """A matrix encoded column by column: the preprocessing statistics and the tree histograms of its rows are counts.
+
+    Column j owns the slots from start[j] on: its distinct values in ascending order, and one null
+    slot (NaN) last if it holds a null. A column of integers in [0, _MAX_CODE] owns the slots 0..max
+    instead, one per integer, so that each cell is its own code, with no sort. codes[j, i] is the
+    slot of cell (i, j) counted from start[j], in the narrowest unsigned type that holds every code;
+    totals holds each slot's count over all rows, and width is the most slots of any column. Cells
+    are encoded as x + 0.0, so -0.0 is +0.0 and a zero statistic is always +0.0.
     """
 
-    def __init__(self, ds: TabularDataset) -> None:
-        self.column_names = list(ds.column_names)
-        self.static = ds.static_mask()
-        self.n_rows = ds.n_rows
+    def __init__(self, X: np.ndarray) -> None:
         values, codes, totals = [], [], []
-        for column in ds.X.T:
+        for column in X.T:
             column = column + 0.0
-            distinct = np.unique(column)  # ascending, and the NaNs last, as one
-            if not distinct.size or not np.isnan(distinct[-1]):
-                distinct = np.append(distinct, np.nan)
-            code = np.searchsorted(distinct, column)  # NaN sorts last, so a null cell finds the null slot
+            if column.size and 0 <= column.min() and column.max() <= _MAX_CODE \
+                    and np.array_equal(column, column.astype(np.uint8)):  # a null fails the first test
+                distinct = np.arange(column.max() + 1)
+                code = column.astype(np.uint8)
+            else:
+                distinct = np.unique(column)  # ascending, and the NaNs last, as one
+                code = np.searchsorted(distinct, column)  # NaN sorts last, so a null cell finds the null slot
             values.append(distinct)
-            codes.append(code.astype(np.min_scalar_type(distinct.size - 1)))  # one int64 column at a time
+            codes.append(code.astype(np.min_scalar_type(distinct.size - 1)))  # one column at a time
             totals.append(np.bincount(code, minlength=distinct.size))
         sizes = np.array([v.size for v in values], dtype=np.intp)
+        self.width = sizes.max(initial=1)
         self.start = np.cumsum(sizes) - sizes
         self.column = np.repeat(np.arange(sizes.size), sizes)  # the column of each slot
         self.values = np.concatenate([[], *values])
         self.totals = np.concatenate([np.zeros(0, dtype=np.intp), *totals])
-        dtype = np.min_scalar_type(sizes.max(initial=1) - 1)
-        self.codes = np.array(codes, dtype=dtype).reshape(sizes.size, ds.n_rows)
+        self.codes = np.array(codes, dtype=np.min_scalar_type(self.width - 1)).reshape(sizes.size, X.shape[0])
 
 
-def fit_preprocess(data: TabularDataset | ColumnCodes, held_out: np.ndarray = ()) -> PreprocessState:
-    """Learn imputation modes and static-column min/max from the rows of data not in held_out.
+def fit_preprocess(ds: TabularDataset, held_out: np.ndarray = (), codes: ColumnCodes | None = None) -> PreprocessState:
+    """Learn imputation modes and static-column min/max from the rows of ds not in held_out.
 
-    A dataset is encoded first. Cross-validation encodes it once and holds out each fold's
-    validation rows (distinct indices), so a fold's counts are the totals minus theirs. Per column
-    the mode is the most frequent non-null value, a tie taking the smallest, and min and max are the
-    smallest and largest non-null values; a column without one gives 0.0 for all three. The imputed
-    column has the same min and max, because its mode is one of its values.
+    codes is ColumnCodes(ds.X), encoded here if not given. Cross-validation encodes the dataset once
+    and holds out each fold's validation rows (distinct indices), so a fold's counts are the totals
+    minus theirs. Per column the mode is the most frequent non-null value, a tie taking the smallest,
+    and min and max are the smallest and largest non-null values; a column without one gives 0.0 for
+    all three. The imputed column has the same min and max, because its mode is one of its values.
     """
-    enc = data if isinstance(data, ColumnCodes) else ColumnCodes(data)
+    enc = ColumnCodes(ds.X) if codes is None else codes
     held_out = np.asarray(held_out, dtype=np.intp)
-    if enc.n_rows - held_out.size < 1:
+    if ds.n_rows - held_out.size < 1:
         raise ValueError("cannot fit preprocessing on an empty dataset")
     keys = enc.codes[:, held_out] + enc.start[:, None]  # intp, whatever the type of the codes
     counts = enc.totals - np.bincount(keys.ravel(), minlength=enc.totals.size)
@@ -191,13 +196,14 @@ def fit_preprocess(data: TabularDataset | ColumnCodes, held_out: np.ndarray = ()
     best = np.maximum.reduceat(np.where(present, counts, 0), enc.start)
     modes, _ = ends(present & (counts == best[enc.column]))
     scale_min, scale_max = ends(present)
+    static = ds.static_mask()
     return PreprocessState(
-        column_names=list(enc.column_names),
+        column_names=list(ds.column_names),
         modes=modes,
-        scale_min=np.where(enc.static, scale_min, np.nan),
-        scale_max=np.where(enc.static, scale_max, np.nan),
-        static=enc.static,
-        fitted_on=enc.n_rows - held_out.size,
+        scale_min=np.where(static, scale_min, np.nan),
+        scale_max=np.where(static, scale_max, np.nan),
+        static=static,
+        fitted_on=ds.n_rows - held_out.size,
     )
 
 

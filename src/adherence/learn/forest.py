@@ -9,7 +9,8 @@ import numpy as np
 
 from .. import rng as rngmod
 from .base import Model
-from .tree import Bins, TreeConfig, _Tree, grow_gini
+from ..features import ColumnCodes
+from .tree import TreeConfig, _Tree, grow_gini
 
 # Bootstrap draws (n per tree) grown together, at most; a tree of more rows grows
 # alone. A batch shares each depth's histograms, and the per-sample arrays of a
@@ -49,7 +50,7 @@ class RandomForest(Model):
             min_samples_split=self.cfg.min_samples_split,
             max_features=self.cfg.features_per_split or round(math.sqrt(d)),
         )
-        bins = Bins(X)
+        bins = ColumnCodes(X)
         per_batch = max(1, _SAMPLES // n)
         self.trees_ = []
         for first in range(0, self.cfg.n_trees, per_batch):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import Model
-from .tree import Bins, _Tree, grow
+from ..features import ColumnCodes
+from .tree import _Tree, grow
 
 
 @dataclass(frozen=True)
@@ -31,9 +32,9 @@ class GbtConfig:
             raise ValueError("max_depth must be >= 0")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
-        if self.l2_lambda < 0:
+        if not self.l2_lambda >= 0:
             raise ValueError("l2_lambda must be >= 0")
-        if self.min_child_weight < 0:
+        if not self.min_child_weight >= 0:
             raise ValueError("min_child_weight must be >= 0")
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
@@ -98,7 +99,7 @@ class GradientBoostedTrees(Model):
         if np.unique(y).size < 2:
             raise ValueError("boosting requires both classes in the training data")
         n = X.shape[0]
-        bins = Bins(X)
+        bins = ColumnCodes(X)
         rule = _SecondOrder(self.cfg)
         rows = np.arange(n)
         root = np.zeros(n, dtype=np.int64)

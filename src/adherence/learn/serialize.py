@@ -50,14 +50,18 @@ def encode_array(a: np.ndarray) -> dict:
     return {"dtype": a.dtype.str, "shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def decode_array(d: dict) -> np.ndarray:
+def decode_array(d: dict, dtype=None, name: str = "array") -> np.ndarray:
+    """The array stored in d; if dtype is given, an array stored as another dtype is refused, not cast."""
     if not isinstance(d["dtype"], str):  # np.dtype(None) would read the bytes as float64
         raise TypeError(f"array dtype is {d['dtype']!r}, expected a string")
     buf = base64.b64decode(d["data"])
-    return np.frombuffer(buf, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
+    a = np.frombuffer(buf, dtype=np.dtype(d["dtype"])).reshape(d["shape"]).copy()
+    if dtype is not None and a.dtype != dtype:
+        raise ValueError(f"{name} has dtype {a.dtype}, expected {np.dtype(dtype)}")
+    return a
 
 
-# A tree's node arrays and the dtype _Tree holds each in; a stored array of another dtype is refused, not cast.
+# A tree's node arrays and the dtype _Tree holds each in.
 _TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64, "left": np.int64, "right": np.int64,
                 "value": np.float64, "importance": np.float64}
 
@@ -68,11 +72,7 @@ def _pack_tree(tree: _Tree) -> dict:
 
 def _unpack_tree(d: dict, n_features: int) -> _Tree:
     """A tree whose predict loop stays in range and ends: each internal node's children come after it."""
-    arrays = {k: decode_array(d[k]) for k in _TREE_ARRAYS}
-    for k, dtype in _TREE_ARRAYS.items():
-        if arrays[k].dtype != dtype:
-            raise ValueError(f"tree {k} array has dtype {arrays[k].dtype}, expected {np.dtype(dtype)}")
-    tree = _Tree(**arrays)
+    tree = _Tree(**{k: decode_array(d[k], dtype, f"tree {k} array") for k, dtype in _TREE_ARRAYS.items()})
     n = tree.n_nodes
     if n == 0 or [getattr(tree, k).shape for k in _TREE_ARRAYS] != [(n,)] * 5 + [(n_features,)]:
         raise ValueError("tree arrays have the wrong lengths")  # five per node, importance per feature
@@ -104,18 +104,21 @@ def _pack_params(model: Model) -> dict:
 
 def _unpack_params(model: Model, params: dict) -> None:
     if isinstance(model, KnnClassifier):
-        model.X_ = decode_array(params["X"])
-        model.y_ = decode_array(params["y"])
+        model.X_ = decode_array(params["X"], np.float64, "knn X array")
+        model.y_ = decode_array(params["y"], np.int64, "knn y array")
         X, y, k = model.X_, model.y_, model.cfg.k
         if X.ndim != 2 or X.shape[1] != model.n_features_ or y.shape != X.shape[:1] or X.shape[0] < k:
             raise ValueError(f"knn arrays must be X (n, {model.n_features_}) and y (n,) with n >= k={k}")
     elif isinstance(model, DecisionTree):
         model.tree_ = _unpack_tree(params["tree"], model.n_features_)
     elif isinstance(model, (RandomForest, GradientBoostedTrees)):
+        n_trees = model.cfg.n_trees if isinstance(model, RandomForest) else model.cfg.n_rounds
+        if len(params["trees"]) != n_trees:
+            raise ValueError(f"{model.kind} must hold {n_trees} trees, not {len(params['trees'])}")
         model.trees_ = [_unpack_tree(t, model.n_features_) for t in params["trees"]]
     elif isinstance(model, MlpClassifier):
-        model.weights_ = [decode_array(W) for W in params["weights"]]
-        model.biases_ = [decode_array(b) for b in params["biases"]]
+        model.weights_ = [decode_array(W, model.cfg.dtype, "mlp weights array") for W in params["weights"]]
+        model.biases_ = [decode_array(b, model.cfg.dtype, "mlp biases array") for b in params["biases"]]
         widths = [model.n_features_, *model.cfg.hidden_layers, 2]
         shapes = [W.shape for W in model.weights_] + [b.shape for b in model.biases_]
         if shapes != [*zip(widths, widths[1:]), *((w,) for w in widths[1:])]:
@@ -140,10 +143,10 @@ def _pack_preprocess(state: PreprocessState) -> dict:
 def _unpack_preprocess(d: dict) -> PreprocessState:
     return PreprocessState(
         column_names=list(d["column_names"]),
-        modes=decode_array(d["modes"]),
-        scale_min=decode_array(d["scale_min"]),
-        scale_max=decode_array(d["scale_max"]),
-        static=decode_array(d["static"]),
+        modes=decode_array(d["modes"], np.float64, "modes array"),
+        scale_min=decode_array(d["scale_min"], np.float64, "scale_min array"),
+        scale_max=decode_array(d["scale_max"], np.float64, "scale_max array"),
+        static=decode_array(d["static"]),  # PreprocessState refuses a static mask that is not bool
         fitted_on=int(d["fitted_on"]),
     )
 

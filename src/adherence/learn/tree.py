@@ -4,8 +4,9 @@ the random forest and gradient-boosted trees, plus the greedy Gini CART.
 The grower splits every node of a depth at once, for several trees of a forest
 together, from weighted bincounts over (node, feature, bin) per depth and a
 cumsum over the bins: the histogram method of XGBoost (Chen & Guestrin, KDD
-2016) and LightGBM (Ke et al., NeurIPS 2017). A bin is one distinct value of a
-column, so thresholds stay exact midpoints between values present in the node.
+2016) and LightGBM (Ke et al., NeurIPS 2017). A bin is one slot of the column's
+features.ColumnCodes, so thresholds stay exact midpoints between values present
+in the node.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import rng as rngmod
+from ..features import ColumnCodes
 from .base import Model
 
-_MAX_CODE = 32  # columns of integers in [0, _MAX_CODE] are their own bin codes
 # Cells of one histogram, and (sample, feature) pairs behind it, at most: the
 # nodes of a depth are searched in chunks, and each chunk's features in blocks,
 # unless one node's samples, or one feature's bins, alone exceed it.
@@ -70,31 +71,7 @@ class _Tree:
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
 
 
-class Bins:
-    """X encoded once per fit: codes[j, i] is row i's bin in column j, values[j, b] the value of bin b.
-
-    Columns of small non-negative integers keep their values as codes, with no
-    sort; other columns get the rank of each value among its distinct values.
-    """
-
-    def __init__(self, X: np.ndarray) -> None:
-        n, d = X.shape
-        # column by column, so that a run of columns is one slice, in the narrowest type that holds every code
-        self.codes = np.empty((d, n), dtype=np.min_scalar_type(max(_MAX_CODE, n - 1)))
-        distinct = []
-        for j, col in enumerate(X.T):
-            if 0 <= col.min() and col.max() <= _MAX_CODE and np.array_equal(col, col.astype(np.uint8)):
-                self.codes[j] = col
-                distinct.append(np.arange(col.max() + 1))  # an own code is its value
-            else:
-                values, self.codes[j] = np.unique(col, return_inverse=True)
-                distinct.append(values)
-        self.values = np.zeros((d, max(v.size for v in distinct)))
-        for j, values in enumerate(distinct):
-            self.values[j, : values.size] = values
-
-
-def histograms(bins: Bins, rows, node, stats, feats):
+def histograms(bins: ColumnCodes, rows, node, stats, feats):
     """Per (node, slot, cell): whether the cell's bin is present, each stat's prefix sum over the cells, and the bin.
 
     Sample i is row rows[i] in node node[i] < len(feats); slot s of node k is
@@ -102,7 +79,7 @@ def histograms(bins: Bins, rows, node, stats, feats):
     samples than bins, each slot's present bins and then empty cells.
     """
     c, m = feats.shape
-    n_bins = bins.values.shape[1]
+    n_bins = bins.width
     first, last = feats[0, 0], feats[0, -1]
     if last - first == m - 1 and np.all(feats == feats[0]):  # one run of columns for every node
         key = bins.codes[first : last + 1].take(rows, axis=1)
@@ -171,7 +148,7 @@ def _split_nodes(bins, rows, node, stats, tot, nodes, feats, rule, found) -> Non
     mine = np.flatnonzero(pos[node] >= 0)
     start = np.searchsorted(pos[node[mine]], np.arange(nodes.size + 1))
     m = feats.shape[1]
-    n_bins = bins.values.shape[1]
+    n_bins = bins.width
     chunks = min(nodes.size, -(-max(nodes.size * n_bins, mine.size) * m // _CELLS))
     bounds = np.linspace(0, nodes.size, chunks + 1).astype(int)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -205,7 +182,8 @@ def _best_splits(bins, rows, node, stats, tot, feats, rule):
     slot, b = np.divmod(best, width)
     nxt = (present[r, slot] & (np.arange(width) > b[:, None])).argmax(axis=1)  # next present bin
     f = feats[r, slot]
-    threshold = (bins.values[f, code[r, slot, b]] + bins.values[f, code[r, slot, nxt]]) / 2.0
+    at = bins.start[f]
+    threshold = (bins.values[at + code[r, slot, b]] + bins.values[at + code[r, slot, nxt]]) / 2.0
     return score[r, best], f, threshold
 
 
@@ -271,7 +249,8 @@ def _preorder(levels, n_root, d) -> list[_Tree]:
     return trees
 
 
-def grow_gini(X: np.ndarray, bins: Bins, y: np.ndarray, weights: np.ndarray, cfg: TreeConfig, rngs) -> list[_Tree]:
+def grow_gini(X: np.ndarray, bins: ColumnCodes, y: np.ndarray, weights: np.ndarray, cfg: TreeConfig,
+              rngs) -> list[_Tree]:
     """One Gini tree per row of weights (a bootstrap's counts, or ones), grown together.
 
     Each node of tree t draws max_features features from rngs[t], depth by
@@ -299,7 +278,7 @@ class DecisionTree(Model):
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         rng = rngmod.substream(self.cfg.seed, "tree")
-        (self.tree_,) = grow_gini(X, Bins(X), y, np.ones((1, X.shape[0])), self.cfg, [rng])
+        (self.tree_,) = grow_gini(X, ColumnCodes(X), y, np.ones((1, X.shape[0])), self.cfg, [rng])
 
     def _p1(self, X: np.ndarray) -> np.ndarray:
         return self.tree_.predict(X)

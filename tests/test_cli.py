@@ -3,6 +3,7 @@ import csv
 import functools
 import io
 import json
+import math
 import operator
 import shutil
 import tempfile
@@ -401,6 +402,8 @@ MODEL_RANGE_CASES = [
     ("tree", "max_depth", -1, "max_depth must be >= 0"),
     ("gbt", "max_depth", -1, "max_depth must be >= 0"),
     ("gbt", "learning_rate", 0.0, "learning_rate must be > 0"),
+    ("gbt", "l2_lambda", math.nan, "l2_lambda must be >= 0"),
+    ("gbt", "min_child_weight", math.nan, "min_child_weight must be >= 0"),
     ("mlp", "learning_rate", -0.1, "learning_rate must be > 0"),
     ("mlp", "beta1", 1.0, "beta1 must lie in [0, 1)"),
     ("mlp", "beta2", 1.5, "beta2 must lie in [0, 1)"),
@@ -414,6 +417,14 @@ def edit_tree(array, edit):
     """A params edit: decode the tree's node array, change it with edit and encode it back."""
     def apply(params):
         params["tree"][array] = encode_array(edit(decode_array(params["tree"][array])))
+    return apply
+
+
+def recast(*path, dtype):
+    """A params edit: decode the array at path and encode it back cast to dtype."""
+    def apply(params):
+        parent = functools.reduce(operator.getitem, path[:-1], params)
+        parent[path[-1]] = encode_array(decode_array(parent[path[-1]]).astype(dtype))
     return apply
 
 
@@ -511,7 +522,8 @@ def mutated_model(draw, models):
         parent = at(path[:-1])
         a = decode_array(parent[path[-1]])
         if draw(st.booleans()):
-            a = a.astype(draw(st.sampled_from([t for t in ("<f8", "<f4", "<i8", "<i4", "|b1") if t != a.dtype.str])))
+            dtypes = ("<f8", "<f4", "<i8", "<i4", "|b1", "<U1", "<m8", "<c16")
+            a = a.astype(draw(st.sampled_from([t for t in dtypes if t != a.dtype.str])))
         else:
             a = a[:-1] if draw(st.booleans()) else np.concatenate([a, a[-1:]])  # every array has a row
         parent[path[-1]] = encode_array(a)
@@ -647,13 +659,33 @@ class TestMalformedInputs:
              "{path}: bad mlp config: dtype must be 'float32' or 'float64', got 'foo'"),
             ("mlp", "params", {"weights": [], "biases": []},
              "{path}: bad mlp params (ValueError('mlp layer shapes must follow widths [3, 2, 2]'))"),
+            ("knn", "params", recast("X", dtype="<U1"),
+             "{path}: bad knn params (ValueError('knn X array has dtype <U1, expected float64'))"),
+            ("knn", "params", recast("y", dtype="<m8"),
+             "{path}: bad knn params (ValueError('knn y array has dtype timedelta64, expected int64'))"),
+            ("mlp", "params", recast("weights", 0, dtype="<c16"),
+             "{path}: bad mlp params (ValueError('mlp weights array has dtype complex128, expected float64'))"),
+            ("mlp", "params", recast("biases", 1, dtype="<f4"),
+             "{path}: bad mlp params (ValueError('mlp biases array has dtype float32, expected float64'))"),
+            ("tree", "preprocess", preprocess_block(modes=np.zeros(3, dtype="<c16")),
+             "{path}: bad preprocess block (ValueError('modes array has dtype complex128, expected float64'))"),
+            ("tree", "preprocess", preprocess_block(scale_min=np.zeros(3).astype("<U1")),
+             "{path}: bad preprocess block (ValueError('scale_min array has dtype <U1, expected float64'))"),
+            ("tree", "preprocess", preprocess_block(scale_max=np.ones(3).astype("<m8")),
+             "{path}: bad preprocess block (ValueError('scale_max array has dtype timedelta64, expected float64'))"),
+            ("forest", "params", {"trees": []},
+             "{path}: bad forest params (ValueError('forest must hold 200 trees, not 0'))"),
+            ("gbt", "params", lambda p: p.update(trees=p["trees"][:-1]),
+             "{path}: bad gbt params (ValueError('gbt must hold 200 trees, not 199'))"),
         ],
         ids=["no-kind", "no-config", "no-n_features", "no-feature_names", "no-params",
              "str-n_features", "list-params", "empty-params", "format-version-1",
              "empty-preprocess", "list-preprocess", "float-static", "short-static", "short-modes",
              "child-out-of-range", "own-left-child", "feature-99", "short-value", "float-feature", "nan-feature",
              "null-dtype",
-             "knn-short-y", "majority-nan-p1", "mlp-unknown-dtype", "mlp-no-layers"],
+             "knn-short-y", "majority-nan-p1", "mlp-unknown-dtype", "mlp-no-layers",
+             "knn-str-X", "knn-timedelta-y", "mlp-complex-weights", "mlp-float32-biases",
+             "complex-modes", "str-scale-min", "timedelta-scale-max", "forest-no-trees", "gbt-one-tree-short"],
     )
     def test_bad_model_file_is_one_error_line(self, tmp_path, capsys, kind, key, value, message):
         path = self.trained_model(tmp_path, kind)

@@ -160,7 +160,7 @@ class TestPreprocess:
     def test_signed_zeros_fit_as_plus_zero(self, column):
         """Counts cannot tell the two zeros apart, so every zero statistic is +0.0, also with a row held out."""
         ds = make_dataset(np.c_[column + [5.0]], None, columns=["age"])
-        for state in (fit_preprocess(ds.subset(np.arange(2))), fit_preprocess(ColumnCodes(ds), held_out=[2])):
+        for state in (fit_preprocess(ds.subset(np.arange(2))), fit_preprocess(ds, held_out=[2])):
             for name in ("modes", "scale_min", "scale_max"):
                 assert getattr(state, name).tobytes() == np.zeros(1).tobytes(), name
             assert state.fitted_on == 2
@@ -312,12 +312,56 @@ class TestFoldPreprocessOracle:
         """Statistics fitted from one encoding with rows held out have the bytes of the masked fit on the rest."""
         ds, held_out = case
         rest = ds.subset(np.setdiff1d(np.arange(ds.n_rows), held_out))
-        state = fit_preprocess(ColumnCodes(ds), held_out=np.array(held_out, dtype=int))
+        state = fit_preprocess(ds, held_out=np.array(held_out, dtype=int), codes=ColumnCodes(ds.X))
         ref = reference.fit_preprocess(rest)
         assert (state.column_names, state.fitted_on) == (ref.column_names, ref.fitted_on)
         for name in ("modes", "scale_min", "scale_max", "static"):
             a, b = getattr(state, name), getattr(ref, name)
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+# nulls, both zeros, negatives, fractions, and the largest own code and the one past it
+CODE_VALUES = st.sampled_from([math.nan, 0.0, -0.0, -1.0, -2.5, 0.5, 1.0, 3.0, 7.25, 32.0, 33.0])
+
+
+@st.composite
+def code_matrix(draw):
+    """A matrix whose columns are free, all null, or integers in [0, 32] with or without nulls."""
+    n_rows = draw(st.integers(1, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["free", "null", "ints", "ints and nulls"]), min_size=1, max_size=5)):
+        if kind == "free":
+            cells = CODE_VALUES
+        elif kind == "null":
+            cells = st.just(math.nan)
+        else:
+            ints = st.integers(0, 32).map(float)
+            cells = ints if kind == "ints" else st.one_of(ints, st.just(math.nan))
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    return np.array(columns).T
+
+
+class TestColumnCodesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(code_matrix())
+    def test_slots_codes_and_totals(self, X):
+        """Per column: its present slots are np.unique(column + 0.0), its codes decode to its cells, and
+        its totals count them."""
+        enc = ColumnCodes(X)
+        ends = np.append(enc.start[1:], enc.values.size)
+        assert enc.codes.shape == X.T.shape and enc.codes.dtype == np.min_scalar_type(enc.width - 1)
+        assert enc.width == max(ends - enc.start) and enc.totals.sum() == X.size
+        for j, column in enumerate(X.T + 0.0):
+            values, totals = enc.values[enc.start[j] : ends[j]], enc.totals[enc.start[j] : ends[j]]
+            assert values[totals > 0].tobytes() == np.unique(column).tobytes()
+            assert values[enc.codes[j]].tobytes() == column.tobytes()
+            assert totals.tolist() == [np.count_nonzero(np.isnan(column) if math.isnan(v) else column == v)
+                                       for v in values]
+            assert np.isnan(values).any() == np.isnan(column).any()  # a null slot only for a column with a null
+            if 0 <= column.min() and column.max() <= 32 and np.array_equal(column, column.round()):
+                assert values.tolist() == list(range(int(column.max()) + 1))  # own codes, with empty slots
+            else:
+                assert totals.all()  # ranks: a slot per distinct value
 
 
 class TestCsvRoundTrip:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,9 @@ class TestGbtMechanics:
             GbtConfig(l2_lambda=-1.0)
         with pytest.raises(ValueError):
             GbtConfig(min_child_weight=-0.5)
+        for field in ("l2_lambda", "min_child_weight"):
+            with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+                GbtConfig(**{field: math.nan})
 
 
 class TestGbtTraining:

@@ -10,16 +10,17 @@ from adherence.learn import (
     TreeConfig,
 )
 from adherence import rng as rngmod
+from adherence.features import ColumnCodes
 from adherence.learn import forest as forestmod
 from adherence.learn import tree as treemod
 
 
 def _one_node(x, stats):
     """Histograms of a one-column X as one node: each cell's value, presence and prefix sums."""
-    bins = treemod.Bins(x[:, None])
+    bins = ColumnCodes(x[:, None])
     present, left, code = treemod.histograms(bins, np.arange(x.size), np.zeros(x.size, dtype=np.int64), stats,
                                              np.zeros((1, 1), dtype=np.int64))
-    return bins.values[0][code[0, 0]], present[0, 0], [s[0, 0] for s in left]
+    return bins.values[code[0, 0]], present[0, 0], [s[0, 0] for s in left]  # one column: its slots start at 0
 
 
 class TestSplitScan:
@@ -52,13 +53,14 @@ class TestSplitScan:
             ([3.0, -1.0], False),  # negative
             ([0.0, 33.0], False),  # beyond the largest own code
         ):
-            bins = treemod.Bins(np.array(col)[:, None])
+            bins = ColumnCodes(np.array(col)[:, None])
             if own:
                 assert bins.codes[0].tolist() == col
-                assert bins.values[0].tolist() == list(range(int(max(col)) + 1))
+                assert bins.values.tolist() == list(range(int(max(col)) + 1))
             else:
                 assert bins.codes[0].tolist() == list(np.argsort(np.argsort(col)))
-                assert bins.values[0].tolist() == sorted(col)
+                assert bins.values.tolist() == sorted(col)
+            assert bins.start.tolist() == [0] and bins.width == bins.values.size
 
 
 def _oracle_data(rng, n=60):
@@ -95,7 +97,7 @@ class TestLevelWiseOracle:
         rng = np.random.default_rng(50 + seed)
         X, y = _oracle_data(rng)
         w = np.bincount(rng.integers(0, X.shape[0], size=X.shape[0]), minlength=X.shape[0]).astype(float)
-        (tree,) = treemod.grow_gini(X, treemod.Bins(X), y, w[None], TreeConfig(), [None])
+        (tree,) = treemod.grow_gini(X, ColumnCodes(X), y, w[None], TreeConfig(), [None])
         eps = max(1e-9, 1e-10 * X.shape[0])
         stack = [(0, w)]
         while stack:
@@ -114,7 +116,7 @@ class TestLevelWiseOracle:
         rng = np.random.default_rng(60 + seed)
         X, y = _oracle_data(rng, n=40)
         w = rng.integers(0, 4, size=40)
-        (weighted,) = treemod.grow_gini(X, treemod.Bins(X), y, w[None], TreeConfig(), [None])
+        (weighted,) = treemod.grow_gini(X, ColumnCodes(X), y, w[None], TreeConfig(), [None])
         repeated = DecisionTree().fit(np.repeat(X, w, axis=0), np.repeat(y, w)).tree_
         for name in ("feature", "threshold", "left", "right", "value", "importance"):
             assert np.array_equal(getattr(weighted, name), getattr(repeated, name)), name
@@ -130,8 +132,8 @@ class TestLevelWiseOracle:
         def rngs():
             return [rngmod.substream(seed, "forest-tree", t) for t in range(5)]
 
-        together = treemod.grow_gini(X, treemod.Bins(X), y, weights, cfg, rngs())
-        alone = [treemod.grow_gini(X, treemod.Bins(X), y, weights[t : t + 1], cfg, rngs()[t : t + 1])[0]
+        together = treemod.grow_gini(X, ColumnCodes(X), y, weights, cfg, rngs())
+        alone = [treemod.grow_gini(X, ColumnCodes(X), y, weights[t : t + 1], cfg, rngs()[t : t + 1])[0]
                  for t in range(5)]
         for a, b in zip(together, alone):
             for name in ("feature", "threshold", "left", "right", "value", "importance"):
