@@ -3,8 +3,9 @@
 CSV files are UTF-8 with CRLF row endings (the csv module's default dialect),
 and None is written as an empty cell. JSON files hold sorted-key text and end
 in a newline; values JSON has no type for (dates, paths) are written as their
-``str()``. Input files are read as UTF-8, a leading byte-order mark skipped; a
-file that will not decode raises one ValueError that names it.
+``str()``; NaN and infinities, which JSON has no text for, are refused. Input
+files are read as UTF-8, a leading byte-order mark skipped; a file that will
+not decode raises one ValueError that names it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 
 
 def canonical_json(doc, indent: int | None = None) -> str:
-    """Sorted-key JSON text; the compact form (indent None) is what fingerprints hash."""
-    return json.dumps(doc, sort_keys=True, indent=indent, default=str)
+    """Sorted-key JSON text; the compact form (indent None) is what fingerprints hash. NaN and +-inf raise."""
+    return json.dumps(doc, sort_keys=True, indent=indent, default=str, allow_nan=False)
 
 
 def write_csv(path: str | Path, header: list, rows: Iterable) -> None:

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -178,7 +179,7 @@ def cmd_build(args, cfg: dict, out: Path):
     db_dir, db, cleansed, report = _ingest(args)
     windows = windows_for_database(cleansed)
     if not windows:
-        print("warning: no window samples produced (empty or too-short database)", file=sys.stderr)
+        warnings.warn("no window samples produced (empty or too-short database)")
     write_windows(windows, out / "windows.csv")
     write_rejects(db.rejects, out / "rejects.csv")
     write_cleanse_report(report, out / "cleanse_report.csv")
@@ -405,31 +406,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Load the config, make the output directory, run the command, write its manifest, map errors."""
+    """Load the config, make the output directory, run the command, write its manifest, map errors and warnings."""
     args = build_parser().parse_args(argv)
-    try:
-        cfg = _load_config(args.config)
-        out = Path(args.out or os.environ.get("ADHERENCE_OUT") or _setting(cfg, "out", str) or "out")
-        out.mkdir(parents=True, exist_ok=True)
-        config, outputs = args.func(args, cfg, out)
-        canonical = canonical_json(config)
-        write_json(out / f"manifest_{args.command}.json", {
-            "artifact_version": __version__,
-            "command": args.command,
-            "config": json.loads(canonical),
-            "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-            "outputs": sorted(outputs),
-        })
-        return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IngestError as exc:
-        print(f"error [{args.command}/ingestion]: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error [{args.command}]: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning [{args.command}]: {message}", file=sys.stderr)
+        try:
+            cfg = _load_config(args.config)
+            out = Path(args.out or os.environ.get("ADHERENCE_OUT") or _setting(cfg, "out", str) or "out")
+            out.mkdir(parents=True, exist_ok=True)
+            config, outputs = args.func(args, cfg, out)
+            canonical = canonical_json(config)
+            write_json(out / f"manifest_{args.command}.json", {
+                "artifact_version": __version__,
+                "command": args.command,
+                "config": json.loads(canonical),
+                "config_sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+                "outputs": sorted(outputs),
+            })
+            return 0
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except IngestError as exc:
+            print(f"error [{args.command}/ingestion]: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, RuntimeError, OSError) as exc:
+            print(f"error [{args.command}]: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -76,10 +76,7 @@ def compute_metrics(y_true: np.ndarray, y_pred: np.ndarray) -> EvalMetrics:
     for arr, name in ((y_true, "y_true"), (y_pred, "y_pred")):
         if not np.isin(arr, (0, 1)).all():
             raise ValueError(f"{name} must contain only 0/1 labels")
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    tn = int(np.sum((y_true == 0) & (y_pred == 0)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
+    tn, fp, fn, tp = np.bincount(2 * y_true + y_pred, minlength=4).tolist()  # the pair (truth, prediction) in base 2
     return metrics_from_counts(tp, tn, fp, fn)
 
 
@@ -236,8 +233,8 @@ def cross_validate(
             state = fit_preprocess(ds, held_out=val_idx, codes=codes)
             train = np.ones(ds.n_rows, dtype=bool)
             train[val_idx] = False
-            tr = transform(ds.subset(train), state)
-            va = transform(ds.subset(val_idx), state)
+            tr = transform(ds, state, train)
+            va = transform(ds, state, val_idx)
             if resample_cfg is not None:
                 tr = oversample(tr, _with_seed(resample_cfg, substream_seed(seed, "resample", f)))
             model = build_model(_with_seed(model_cfg, substream_seed(seed, "model", f)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
@@ -72,10 +73,6 @@ class TabularDataset:
             raise ValueError("dataset carries no labels")
         return self.y
 
-    def subset(self, rows: np.ndarray) -> "TabularDataset":
-        y = None if self.y is None else self.y[rows]
-        return TabularDataset(list(self.column_names), self.X[rows], y)
-
     def prefix(self, variant: str) -> "TabularDataset":
         """The leading columns that make up ``variant``, with every row and label."""
         columns = VARIANT_COLUMNS.get(variant)
@@ -86,10 +83,6 @@ class TabularDataset:
     def static_mask(self) -> np.ndarray:
         """True for columns subject to scaling (everything but S1..S12)."""
         return np.array([not _S_PATTERN.match(c) for c in self.column_names], dtype=bool)
-
-
-def _matrix(rows: list, width: int) -> np.ndarray:
-    return np.array(rows, dtype=np.float64).reshape(len(rows), width)
 
 
 def static_matrix(profiles: Profiles, users) -> np.ndarray:
@@ -108,7 +101,8 @@ def build_variant(windows: Windows, profiles: Profiles) -> TabularDataset:
     The timestamps (ISO week, month, year) are computed once per distinct window end date.
     """
     dates, date_row = np.unique(windows.end_date, return_inverse=True)
-    stamps = _matrix([[d.isocalendar().week, d.month, d.year] for d in dates.tolist()], len(TIMESTAMP_COLUMNS))
+    stamps = np.array([[d.isocalendar().week, d.month, d.year] for d in dates.tolist()], dtype=np.float64)
+    stamps = stamps.reshape(-1, len(TIMESTAMP_COLUMNS))  # (0, 3) when there are no windows
     X = np.hstack([windows.values, stamps[date_row], static_matrix(profiles, windows.user_id)])
     return TabularDataset(column_names=list(_D6_COLUMNS), X=X, y=windows.label)
 
@@ -207,31 +201,34 @@ def fit_preprocess(ds: TabularDataset, held_out: np.ndarray = (), codes: ColumnC
     )
 
 
-def transform(ds: TabularDataset, state: PreprocessState) -> TabularDataset:
-    """Impute nulls and min-max scale static columns into [0, 1].
+def transform(ds: TabularDataset, state: PreprocessState, rows: np.ndarray | None = None) -> TabularDataset:
+    """Impute nulls and min-max scale static columns into [0, 1], on the rows of ds that rows selects.
 
-    One affine map per column: a scaled column takes (x - min) / (max - min) clipped to [0, 1],
-    which clamps out-of-range validation rows; every other column takes (x - 0) / 1, which leaves
-    it exactly as imputed. A static column that was constant at fit time maps to 0.
+    rows is a boolean mask or an index array, and None selects every row. One affine map per
+    column: a scaled column takes (x - min) / (max - min) clipped to [0, 1], which clamps
+    out-of-range validation rows; every other column takes (x - 0) / 1, which leaves it exactly
+    as imputed. A static column that was constant at fit time maps to 0.
     """
     if list(ds.column_names) != state.column_names:
         raise ValueError("dataset columns do not match the fitted preprocessing state")
+    rows = np.arange(ds.n_rows) if rows is None else rows
     span = state.scale_max - state.scale_min
     scaled = state.static & (span > 0)
-    X = np.where(np.isnan(ds.X), state.modes, ds.X)
+    X = ds.X[rows]  # a gather, so a copy, which the map below changes in place
+    np.copyto(X, state.modes, where=np.isnan(X))
     X -= np.where(scaled, state.scale_min, 0.0)
     X /= np.where(scaled, span, 1.0)
     # clip by comparison, as np.clip does with scalar bounds; with array bounds it turns -0.0 into 0.0
     np.copyto(X, 0.0, where=scaled & (X < 0.0))
     np.copyto(X, 1.0, where=scaled & (X > 1.0))
     X[:, state.static & ~scaled] = 0.0
-    return TabularDataset(list(ds.column_names), X, None if ds.y is None else ds.y.copy())
+    return TabularDataset(list(ds.column_names), X, None if ds.y is None else ds.y[rows])
 
 
 # ---------------------------------------------------------------------------
 # CSV round trip
 
-_BLOCK_ROWS = 1024  # rows a dataset CSV is formatted or parsed in at a time, which bounds memory
+_BLOCK_ROWS = 1024  # rows a dataset CSV is formatted in at a time, which bounds the writer's memory
 
 
 def _format_cell(v: float) -> str:
@@ -271,7 +268,10 @@ def write_dataset_csv(ds: TabularDataset, path: str | Path) -> None:
 
 
 def read_dataset_csv(path: str | Path) -> TabularDataset:
-    """Read a dataset CSV; its header names the variant (D0..D6 on an exact match, else "custom")."""
+    """Read a dataset CSV; its header names the variant (D0..D6 on an exact match, else "custom").
+
+    Each row's cells are appended to one flat buffer of doubles, which becomes X without a copy.
+    """
     path = Path(path)
     rows = read_csv(path)
     _, header = next(rows, (0, None))
@@ -281,8 +281,7 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
     columns = header[:-1] if labeled else header
     if not columns:
         raise ValueError(f"{path}: no feature columns in the header")
-    blocks = [np.empty((0, len(columns)))]
-    X_rows = []
+    cells = array("d")
     y_rows = []
     for line, row in rows:
         if not row:
@@ -290,7 +289,7 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line}: {len(row)} cell(s), but the header has {len(header)}")
         try:
-            X_rows.append([math.nan if c == "" else float(c) for c in row[: len(columns)]])
+            cells.fromlist([math.nan if c == "" else float(c) for c in row[: len(columns)]])
             if labeled:
                 label = float(row[-1])
                 if label not in (0.0, 1.0):
@@ -298,10 +297,5 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
                 y_rows.append(label == 1.0)  # a bool is shared, a float is 24 bytes per row
         except ValueError as exc:
             raise ValueError(f"{path}: line {line}: {exc}") from None
-        if len(X_rows) == _BLOCK_ROWS:
-            blocks.append(_matrix(X_rows, len(columns)))
-            X_rows.clear()
-    blocks.append(_matrix(X_rows, len(columns)))
-    X_rows.clear()  # free the last block's floats before the blocks are joined
     y = np.array(y_rows, dtype=np.int64) if labeled else None
-    return TabularDataset(column_names=columns, X=np.concatenate(blocks), y=y)
+    return TabularDataset(column_names=columns, X=np.frombuffer(cells).reshape(-1, len(columns)), y=y)

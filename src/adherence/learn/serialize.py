@@ -202,7 +202,7 @@ def load_model(path: str | Path) -> tuple[Model, PreprocessState | None]:
 
 
 def _fits(value: object, hint: object) -> bool:
-    """Whether a JSON value fits a field type: bool is not int, int fits float, a list fits a tuple."""
+    """Whether a JSON value fits a field type: bool is not int, int fits float, +-inf does not, a list fits a tuple."""
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):
         return any(_fits(value, a) for a in args)
@@ -216,7 +216,7 @@ def _fits(value: object, hint: object) -> bool:
                                                for k, v in value.items())
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
+    return isinstance(value, (int, float)) and abs(value) != np.inf if hint is float else isinstance(value, hint)
 
 
 def from_json(cls: type, values: dict):

@@ -106,6 +106,9 @@ class SynthConfig:
                 raise ValueError(f"unknown demographic field {name!r}")
             if lo > hi:
                 raise ValueError(f"degenerate range for {name}: ({lo}, {hi})")
+            low, high = DEMOGRAPHIC_RANGES.get(name, (lo, hi))  # birth_year has no range to keep to
+            if not low <= lo <= hi <= high:
+                raise ValueError(f"range for {name} ({lo}, {hi}) reaches outside [{low},{high}], which ingest accepts")
 
 
 def _monday_of(d: date) -> date:

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from adherence.artifact import read_csv, read_json
+from adherence.artifact import canonical_json, read_csv, read_json
 
 
 def test_read_csv_numbers_each_row_by_its_last_line(tmp_path):
@@ -47,3 +49,10 @@ def test_read_json_skips_a_byte_order_mark(tmp_path):
     path = tmp_path / "t.json"
     path.write_bytes(b'\xef\xbb\xbf{"a": [1, 2.5, null]}')
     assert read_json(path) == {"a": [1, 2.5, None]}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["NaN", "Infinity", "-Infinity"])
+def test_canonical_json_refuses_what_json_has_no_text_for(value):
+    """RFC 8259 JSON holds no NaN or infinity, so no file the program writes may."""
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        canonical_json({"a": [1.0, value]})

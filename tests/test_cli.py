@@ -52,6 +52,22 @@ class TestGenerate:
         assert summary["n_input_users"] == 30
         assert summary["n_rejected_rows"] == 0
 
+    def test_demographic_range_ingest_rejects_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"generate": {"demographic_ranges": {"education": [0, 20], "use_case": [1, 9]}}}))
+        capsys.readouterr()
+        assert run("generate", "--config", str(tmp_path / "cfg.json"), "--n-users", "50", "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid generation config: range for education (0, 20) reaches outside [0,8], which ingest accepts"]
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_demographic_range_inside_ingests_without_rejects(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"generate": {"demographic_ranges": {"education": [2, 5]}}}))
+        assert run("generate", "--config", str(tmp_path / "cfg.json"), "--n-users", "50", "--out", str(tmp_path / "db")) == 0
+        assert run("ingest", "--db", str(tmp_path / "db"), "--out", str(tmp_path / "rep")) == 0
+        summary = json.loads((tmp_path / "rep" / "ingest_summary.json").read_text())
+        assert (summary["n_input_users"], summary["n_rejected_rows"]) == (50, 0)
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1, "generate": {"n_users": 10}}))
@@ -120,6 +136,37 @@ class TestBuild:
 
     def test_missing_db_usage_error(self, tmp_path):
         assert run("build", "--db", str(tmp_path / "nope"), "--out", str(tmp_path / "o")) == 2
+
+
+class TestWarnings:
+    def test_ingest_extra_column_is_one_line(self, tmp_path, capsys, db_dir):
+        path = db_dir / "demographics.csv"
+        rows = list(csv.reader(path.open(newline="")))
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([[*row, "extra" if i == 0 else "1"] for i, row in enumerate(rows)])
+        capsys.readouterr()
+        assert run("ingest", "--db", str(db_dir), "--out", str(tmp_path / "o")) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning [ingest]: demographics: ignoring extra column(s) ['extra']"]
+
+    def test_cv_small_class_is_one_line(self, tmp_path, capsys):
+        y = np.zeros(12, dtype=int)
+        y[4] = 1
+        write_dataset_csv(make_dataset(np.arange(24.0).reshape(12, 2), y), tmp_path / "ds.csv")
+        capsys.readouterr()
+        code = run("cv", "--dataset", str(tmp_path / "ds.csv"), "--model", "majority", "--k", "3",
+                   "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 0
+        assert err == ["warning [cv]: a class has fewer than 3 members; falling back to non-stratified folds"]
+        assert ".py:" not in "".join(err)
+
+    def test_python_display_is_restored(self, tmp_path):
+        import warnings
+
+        shown = warnings.showwarning
+        assert run("generate", "--n-users", "3", "--out", str(tmp_path / "o")) == 0
+        assert warnings.showwarning is shown
 
 
 class TestStats:
@@ -761,6 +808,44 @@ class TestMalformedInputs:
         assert code == expected[0]
         assert captured.err.strip().splitlines() == [f"{expected[1]}bad {kind} config: {message}"]
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("infinity", [math.inf, -math.inf], ids=["Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "command, section, field",
+        [
+            ("cv", {"model": {"kind": "gbt"}}, "l2_lambda"),
+            ("cv", {"model": {"kind": "mlp"}}, "adam_eps"),
+            ("train", {"model": {"kind": "gbt"}}, "l2_lambda"),
+            ("cv", {"resampler": {"method": "smote"}}, "target_ratio"),
+            ("generate", {"generate": {}}, "engagement_alpha"),
+            ("predict", {"config": {}}, "l2_lambda"),
+        ],
+        ids=["cv-model", "cv-mlp", "train-model", "cv-resampler", "generate", "predict-model-file"],
+    )
+    def test_infinity_is_refused(self, tmp_path, capsys, command, section, field, infinity):
+        """JSON has no infinity: a config that holds one exits 2, a model file 1, and neither writes a file."""
+        model = self.trained_model(tmp_path, "gbt")
+        [(name, body)] = section.items()
+        if command == "predict":
+            doc = json.loads(model.read_text())
+            doc["config"][field] = infinity
+            model.write_text(json.dumps(doc))
+            argv, code, prefix = ["--model-file", str(model)], 1, f"error [predict]: malformed model file {model}: "
+        else:
+            doc = {name: {**body, field: infinity}}
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            argv = ["--config", str(tmp_path / "cfg.json")]
+            argv += ["--n-users", "5"] if command == "generate" else ["--model", body.get("kind", "majority")]
+            code, prefix = 2, "error: "
+        assert "Infinity" in (model if command == "predict" else tmp_path / "cfg.json").read_text()
+        if command != "generate":
+            argv += ["--dataset", str(tmp_path / "ds.csv")]
+        capsys.readouterr()
+        assert run(command, *argv, "--out", str(tmp_path / "o")) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(prefix), err
+        assert err[0].endswith(f"{field!r} is {infinity!r}, expected float")
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("command", ["cv", "ingest", "generate", "predict"])
     def test_undecodable_file_is_one_error_line(self, tmp_path, capsys, db_dir, command):

@@ -160,7 +160,7 @@ class TestPreprocess:
     def test_signed_zeros_fit_as_plus_zero(self, column):
         """Counts cannot tell the two zeros apart, so every zero statistic is +0.0, also with a row held out."""
         ds = make_dataset(np.c_[column + [5.0]], None, columns=["age"])
-        for state in (fit_preprocess(ds.subset(np.arange(2))), fit_preprocess(ds, held_out=[2])):
+        for state in (fit_preprocess(TabularDataset(ds.column_names, ds.X[:2], None)), fit_preprocess(ds, held_out=[2])):
             for name in ("modes", "scale_min", "scale_max"):
                 assert getattr(state, name).tobytes() == np.zeros(1).tobytes(), name
             assert state.fitted_on == 2
@@ -274,6 +274,24 @@ class TestPreprocessOracle:
                     assert out.column_names == ref.column_names
                     assert (out.y is None and ref.y is None) or out.y.tobytes() == ref.y.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(preprocess_case(), st.data())
+    def test_selected_rows_match_reference_on_rows_gathered_first(self, case, data):
+        """transform(ds, state, rows) has the bytes of the masked transform of ds's rows, for a boolean mask
+        and for an index array that may repeat rows, in any order."""
+        train, _, direct = case
+        n = train.n_rows
+        mask = data.draw(arrays(np.bool_, n))
+        index = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)), dtype=np.intp)
+        with np.errstate(all="ignore"):
+            for state in (fit_preprocess(train), direct):
+                for rows in (mask, index):
+                    out = transform(train, state, rows)
+                    ref = reference.transform(TabularDataset(train.column_names, train.X[rows], train.y[rows]), state)
+                    assert (out.X.dtype, out.X.shape, out.X.tobytes()) == (ref.X.dtype, ref.X.shape, ref.X.tobytes())
+                    assert (out.y.dtype, out.y.tobytes()) == (ref.y.dtype, ref.y.tobytes())
+                    assert out.column_names == ref.column_names
+
 
 @st.composite
 def held_out_case(draw):
@@ -311,7 +329,7 @@ class TestFoldPreprocessOracle:
     def test_held_out_rows_match_reference_on_the_rest(self, case):
         """Statistics fitted from one encoding with rows held out have the bytes of the masked fit on the rest."""
         ds, held_out = case
-        rest = ds.subset(np.setdiff1d(np.arange(ds.n_rows), held_out))
+        rest = TabularDataset(ds.column_names, ds.X[np.setdiff1d(np.arange(ds.n_rows), held_out)], None)
         state = fit_preprocess(ds, held_out=np.array(held_out, dtype=int), codes=ColumnCodes(ds.X))
         ref = reference.fit_preprocess(rest)
         assert (state.column_names, state.fitted_on) == (ref.column_names, ref.fitted_on)
@@ -527,6 +545,8 @@ class TestBlockedCsv:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back.X, X, equal_nan=True)
+        assert back.X.dtype == np.float64 and back.X.flags.c_contiguous and back.X.flags.writeable
         assert write_peak < 10e6, write_peak  # one block for all 5,000 rows took 45 MB
-        # the blocks and their joined copy are 2 * X.nbytes; a block of Python floats is 0.8 * X.nbytes here
-        assert read_peak < 2.5 * back.X.nbytes, (read_peak, back.X.nbytes)
+        # the reader's one flat buffer is X itself, over-allocated by about a sixteenth as it grows, and one
+        # row's Python floats are all else it holds. Blocks joined at the end would take 2 * X.nbytes.
+        assert read_peak < 1.5 * back.X.nbytes, (read_peak, back.X.nbytes)

@@ -40,6 +40,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown questionnaire"):
             SynthConfig(null_rates={("who5", 1): 0.1})
 
+    @pytest.mark.parametrize("name, pair", [("education", (0, 9)), ("use_case", (0, 5)), ("technology", (3, 2))])
+    def test_demographic_range_outside_what_ingest_accepts(self, name, pair):
+        with pytest.raises(ValueError, match=name):
+            SynthConfig(demographic_ranges={name: pair})
+
+    def test_birth_year_range_is_free(self):
+        assert SynthConfig(demographic_ranges={"birth_year": (1800, 2100)}).demographic_ranges["birth_year"] == (1800, 2100)
+
     def test_generate_rejects_invalid(self):
         with pytest.raises(ValueError):
             generate(SynthConfig(n_users=0))
