@@ -28,6 +28,23 @@ def write_csv(path: str | Path, header: list, rows: Iterable) -> None:
         w.writerows(rows)
 
 
+def write_csv_lines(path: str | Path, header: list, blocks: Iterable[list[str]], width: int) -> None:
+    """write_csv of rows whose width cells are already joined by ",": each block a list of lines, one per row.
+
+    The cells must be text that needs no quoting, such as numbers or the empty cell, so that a
+    line is the row as csv.writer would write it; the one row it writes otherwise is a lone
+    empty cell, as "", which keeps that line from being blank. The header is quoted as needed.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for lines in blocks:
+            if width == 1:
+                lines = [line or '""' for line in lines]
+            if lines:
+                fh.write("\r\n".join(lines))
+                fh.write("\r\n")
+
+
 def write_json(path: str | Path, doc, indent: int | None = 2) -> None:
     Path(path).write_text(canonical_json(doc, indent) + "\n", encoding="utf-8")
 

@@ -184,10 +184,11 @@ def cmd_build(args, cfg: dict, out: Path):
     write_rejects(db.rejects, out / "rejects.csv")
     write_cleanse_report(report, out / "cleanse_report.csv")
     outputs = ["windows.csv", "rejects.csv", "cleanse_report.csv"]
-    d6 = build_variant(windows, cleansed.profiles)
+    # variants ascend, so the last is the widest: the first write formats its rows, and every write cuts them
+    widest = build_variant(windows, cleansed.profiles).prefix(variants[-1]).with_csv_lines()
     for variant in variants:
         name = f"dataset_{variant}.csv"
-        write_dataset_csv(d6.prefix(variant), out / name)
+        write_dataset_csv(widest.prefix(variant), out / name)
         outputs.append(name)
     print(f"built {len(windows)} windows into {len(variants)} dataset variant(s) -> {out}")
     return {"db": str(db_dir), "variants": variants}, outputs

@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass
-from itertools import accumulate, chain
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .artifact import read_csv, write_csv
+from .artifact import read_csv, write_csv_lines
 from .ingestion import STATIC_BLOCKS, Profiles
 from .sessionize import WINDOW_SESSIONS, Windows
 
@@ -43,6 +44,8 @@ class TabularDataset:
     column_names: list[str]
     X: np.ndarray  # float64, NaN marks null
     y: np.ndarray | None  # {0,1} labels, None for unlabeled feature files
+    # the CSV lines of the rows of a dataset this one is a prefix of, which write_dataset_csv cuts
+    csv_lines: "CsvLines | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -78,7 +81,11 @@ class TabularDataset:
         columns = VARIANT_COLUMNS.get(variant)
         if columns is None or self.column_names[: len(columns)] != columns:
             raise ValueError(f"variant {variant!r} is not a column prefix of this dataset; variants are {VARIANTS}")
-        return TabularDataset(list(columns), self.X[:, : len(columns)], self.y)
+        return TabularDataset(list(columns), self.X[:, : len(columns)], self.y, self.csv_lines)
+
+    def with_csv_lines(self) -> "TabularDataset":
+        """This dataset with a CsvLines of its rows, which every prefix() of it shares."""
+        return replace(self, csv_lines=CsvLines(self.X))
 
     def static_mask(self) -> np.ndarray:
         """True for columns subject to scaling (everything but S1..S12)."""
@@ -228,7 +235,8 @@ def transform(ds: TabularDataset, state: PreprocessState, rows: np.ndarray | Non
 # ---------------------------------------------------------------------------
 # CSV round trip
 
-_BLOCK_ROWS = 1024  # rows a dataset CSV is formatted in at a time, which bounds the writer's memory
+_BLOCK_ROWS = 256  # rows a dataset CSV is formatted in at a time, which bounds the writer's memory
+_MEMO_TEXTS = 4096  # distinct cell texts whose value the reader keeps
 
 
 def _format_cell(v: float) -> str:
@@ -239,38 +247,89 @@ def _format_cell(v: float) -> str:
     return repr(float(v))  # shortest exact round-trip representation
 
 
-def _formatted(values: np.ndarray, fmt) -> np.ndarray:
-    """fmt of each cell, called once per distinct value; NaNs are one value, and so are 0.0 and -0.0."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([fmt(v) for v in distinct.tolist()], dtype=object)[inverse]
+def _formatted(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_format_cell of each cell, and that text's length, called once per distinct value.
+
+    NaNs are one value, and so are 0.0 and -0.0.
+    """
+    distinct, inverse = np.unique(values.ravel(), return_inverse=True)
+    text = [_format_cell(v) for v in distinct.tolist()]
+    lengths = np.array([len(t) for t in text], dtype=np.intp)
+    return np.array(text, dtype=object)[inverse].reshape(values.shape), lengths[inverse].reshape(values.shape)
+
+
+def _joined_rows(X: np.ndarray, widths: list[int]) -> Iterator[tuple[list[str], np.ndarray]]:
+    """Per block of rows, each row's cells joined by ",", and where in each line the first w cells end, for each w in widths."""
+    for start in range(0, len(X), _BLOCK_ROWS):
+        cells, lengths = _formatted(X[start : start + _BLOCK_ROWS])
+        ends = np.cumsum(lengths + 1, axis=1)[:, [w - 1 for w in widths]] - 1  # a comma after each cell but the last
+        lines = [",".join(row) for row in cells.tolist()]
+        del cells  # before the next block's cells are made
+        yield lines, ends
+
+
+class CsvLines:
+    """The rows of a matrix as the lines of its dataset CSV, formatted on first use and then kept.
+
+    A dataset and every prefix() of it share one, so that build formats each cell once however
+    many variants it writes: the line of a prefix is the row's line cut where the prefix's last
+    column ends. The cuts kept are the variants' widths, the only prefixes there are.
+    """
+
+    def __init__(self, X: np.ndarray) -> None:
+        self._width = X.shape[1]
+        self._widths = [w for w in VARIANT_COLUMN_COUNTS.values() if w < self._width]
+        self._X = X
+        self._blocks: list[tuple[list[str], np.ndarray]] | None = None
+
+    def blocks(self, width: int) -> Iterator[list[str]]:
+        """Each block's lines of the rows' first width cells; the first call formats every row."""
+        if self._blocks is None:
+            self._blocks = list(_joined_rows(self._X, self._widths))
+            self._X = None
+        if width == self._width:
+            return (lines for lines, _ in self._blocks)
+        k = self._widths.index(width)
+        return ([line[:end] for line, end in zip(lines, ends[:, k].tolist())] for lines, ends in self._blocks)
 
 
 def write_dataset_csv(ds: TabularDataset, path: str | Path) -> None:
     """Write the dataset as CSV; its header alone names its variant (see read_dataset_csv).
 
-    Rows are formatted a block at a time, each column's distinct values once per block. The
-    bytes equal one _format_cell per cell: equal floats format alike (0.0 and -0.0 both as
-    "0"), and every NaN as "".
+    Rows are formatted a block at a time, each distinct value once per block, and each row's cells
+    are joined once. The bytes equal one _format_cell per cell: equal floats format alike (0.0 and
+    -0.0 both as "0"), and every NaN as "". A dataset with csv_lines cuts its lines from them; any
+    other formats its own, and holds one block of them at a time.
     """
+    if ds.csv_lines is None:
+        blocks = (lines for lines, _ in _joined_rows(ds.X, []))
+    else:
+        blocks = ds.csv_lines.blocks(ds.n_cols)
     labeled = ds.y is not None
+    if labeled:
+        labels = iter(ds.y.tolist())  # map stops at the end of a block's lines, before it takes a label
+        blocks = (list(map("{},{}".format, lines, labels)) for lines in blocks)
+    write_csv_lines(path, list(ds.column_names) + ([LABEL_COLUMN] if labeled else []), blocks, ds.n_cols + labeled)
 
-    def block(start: int) -> list:
-        X = ds.X[start : start + _BLOCK_ROWS]
-        cells = np.empty((len(X), ds.n_cols + labeled), dtype=object)
-        for j, column in enumerate(X.T):
-            cells[:, j] = _formatted(column, _format_cell)
-        if labeled:
-            cells[:, -1] = _formatted(ds.y[start : start + _BLOCK_ROWS], str)
-        return cells.tolist()
 
-    rows = chain.from_iterable(map(block, range(0, ds.n_rows, _BLOCK_ROWS)))
-    write_csv(path, list(ds.column_names) + ([LABEL_COLUMN] if labeled else []), rows)
+class _CellValues(dict):
+    """The value of each cell text met so far, float() called once per text; the empty cell is NaN.
+
+    It stops storing new texts at _MEMO_TEXTS, so that a file of distinct cells keeps no more.
+    """
+
+    def __missing__(self, text: str) -> float:
+        value = float(text)
+        if len(self) < _MEMO_TEXTS:
+            self[text] = value
+        return value
 
 
 def read_dataset_csv(path: str | Path) -> TabularDataset:
     """Read a dataset CSV; its header names the variant (D0..D6 on an exact match, else "custom").
 
-    Each row's cells are appended to one flat buffer of doubles, which becomes X without a copy.
+    Each row's cells are appended to one flat buffer of doubles, which becomes X without a copy;
+    each distinct cell text is parsed once (see _CellValues).
     """
     path = Path(path)
     rows = read_csv(path)
@@ -281,6 +340,7 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
     columns = header[:-1] if labeled else header
     if not columns:
         raise ValueError(f"{path}: no feature columns in the header")
+    value = _CellValues({"": math.nan}).__getitem__
     cells = array("d")
     y_rows = []
     for line, row in rows:
@@ -289,7 +349,7 @@ def read_dataset_csv(path: str | Path) -> TabularDataset:
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line}: {len(row)} cell(s), but the header has {len(header)}")
         try:
-            cells.fromlist([math.nan if c == "" else float(c) for c in row[: len(columns)]])
+            cells.fromlist(list(map(value, row[: len(columns)])))
             if labeled:
                 label = float(row[-1])
                 if label not in (0.0, 1.0):

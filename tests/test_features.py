@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference
-from adherence import features
+from adherence import cli, features
 from adherence.artifact import write_csv
 from adherence.features import (
     LABEL_COLUMN,
@@ -442,7 +442,7 @@ def cell_by_cell_csv(ds, path):
 
 
 def awkward_dataset(n_rows=2500, labeled=True):
-    """Rows that span three 1,024-row blocks, with the floats whose text is easiest to get wrong."""
+    """Rows that span several of the writer's blocks, with the floats whose text is easiest to get wrong."""
     rng = np.random.default_rng(13)
     specials = [np.inf, -np.inf, 1e15 - 1, 1e15, -1e15, 1e16, 5e-324, -5e-324, 0.1 + 0.2, 2.5, -3.0]
     X = np.column_stack([
@@ -550,3 +550,107 @@ class TestBlockedCsv:
         # the reader's one flat buffer is X itself, over-allocated by about a sixteenth as it grows, and one
         # row's Python floats are all else it holds. Blocks joined at the end would take 2 * X.nbytes.
         assert read_peak < 1.5 * back.X.nbytes, (read_peak, back.X.nbytes)
+
+
+def awkward_d6(n_rows, labeled=True, past=None):
+    """A D6-shaped dataset whose every column mixes the floats whose text is easiest to get wrong.
+
+    past, if given, fills every column after the first `past` ones with the value 4242.25.
+    """
+    rng = np.random.default_rng(n_rows)
+    specials = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e15 - 1, 1e15, 1e15 + 1, -1e15 - 1, 5e-324, -5e-324,
+                2.2250738585072014e-308 / 3, 2.0**53, 2.0**53 + 2, 0.1 + 0.2, -2.5, 7.0, 1 / 3]
+    shape = (n_rows, VARIANT_COLUMN_COUNTS["D6"])
+    X = np.where(rng.random(shape) < 0.7, rng.choice(specials, shape), rng.normal(size=shape))
+    if past is not None:
+        X[:, past:] = 4242.25
+    return make_dataset(X, rng.integers(0, 2, n_rows) if labeled else None, VARIANT_COLUMNS["D6"])
+
+
+SHARED_SIZES = [0, 1, features._BLOCK_ROWS - 1, features._BLOCK_ROWS, features._BLOCK_ROWS + 1]
+
+
+class TestSharedCsvLines:
+    """build formats D6's rows once and cuts every variant's lines from them."""
+
+    @pytest.mark.parametrize("n_rows", SHARED_SIZES)
+    def test_build_writes_what_each_prefix_writes_alone(self, tmp_path, db_dir, monkeypatch, n_rows):
+        d6 = awkward_d6(n_rows)
+        monkeypatch.setattr(cli, "build_variant", lambda windows, profiles: d6)
+        assert cli.main(["build", "--db", str(db_dir), "--out", str(tmp_path / "built")]) == 0
+        for v in VARIANTS:
+            write_dataset_csv(d6.prefix(v), tmp_path / "alone.csv")
+            cell_by_cell_csv(d6.prefix(v), tmp_path / "reference.csv")
+            built = (tmp_path / "built" / f"dataset_{v}.csv").read_bytes()
+            assert built == (tmp_path / "alone.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes(), v
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_every_prefix_of_shared_lines_equals_its_own_lines(self, tmp_path, labeled):
+        d6 = awkward_d6(features._BLOCK_ROWS + 1, labeled)
+        shared = d6.with_csv_lines()
+        for v in reversed(VARIANTS):  # the first write formats, whichever variant it is
+            write_dataset_csv(shared.prefix(v), tmp_path / "shared.csv")
+            write_dataset_csv(d6.prefix(v), tmp_path / "alone.csv")
+            assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes(), v
+
+    def test_one_variant_formats_only_its_columns(self, tmp_path, db_dir, monkeypatch):
+        width = VARIANT_COLUMN_COUNTS["D3"]
+        d6 = awkward_d6(features._BLOCK_ROWS + 1, past=width)
+        assert 4242.25 not in d6.X[:, :width]
+        monkeypatch.setattr(cli, "build_variant", lambda windows, profiles: d6)
+        formatted = []
+        real = features._format_cell
+        monkeypatch.setattr(features, "_format_cell", lambda v: formatted.append(v) or real(v))
+        assert cli.main(["build", "--db", str(db_dir), "--variant", "D3", "--out", str(tmp_path / "built")]) == 0
+        assert formatted and 4242.25 not in formatted
+        assert sorted(p.name for p in (tmp_path / "built").glob("dataset_*.csv")) == ["dataset_D3.csv"]
+        write_dataset_csv(d6.prefix("D3"), tmp_path / "alone.csv")
+        assert (tmp_path / "built" / "dataset_D3.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+class TestReaderMemo:
+    """The reader parses each distinct cell text once, and stops keeping texts at _MEMO_TEXTS."""
+
+    @staticmethod
+    def float_oracle(path):
+        """X as one float() per cell, the empty cell NaN."""
+        rows = path.read_text().splitlines()[1:]
+        return np.array([[math.nan if c == "" else float(c) for c in row.split(",")[:-1]] for row in rows])
+
+    def test_signed_zeros_and_exponents_keep_their_bits(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        texts = ["0", "-0", "-0.0", "1e5", "inf", ""]
+        rows = [",".join(texts[(i + j) % len(texts)] for j in range(5)) + f",{i % 2}" for i in range(12)]
+        path.write_text("\r\n".join(["f0,f1,f2,f3,f4,A", *rows]) + "\r\n")
+        back = read_dataset_csv(path)
+        assert back.X.tobytes() == self.float_oracle(path).tobytes()
+        negative_zeros = sum(c in ("-0", "-0.0") for row in rows for c in row.split(",")[:-1])
+        assert negative_zeros and np.signbit(back.X[back.X == 0]).sum() == negative_zeros
+
+    def test_more_distinct_texts_than_the_memo_keeps(self, tmp_path, monkeypatch):
+        memos = []
+
+        class Recorded(features._CellValues):
+            def __init__(self, *args):
+                super().__init__(*args)
+                memos.append(self)
+
+        monkeypatch.setattr(features, "_CellValues", Recorded)
+        rng = np.random.default_rng(8)
+        ds = make_dataset(rng.normal(size=(features._MEMO_TEXTS // 3 + 10, 4)), None)
+        ds.X[::7, 1] = 0.5  # a text met again after the memo is full
+        write_dataset_csv(ds, tmp_path / "ds.csv")
+        back = read_dataset_csv(tmp_path / "ds.csv")
+        assert back.X.tobytes() == ds.X.tobytes()
+        [memo] = memos
+        assert len(memo) == features._MEMO_TEXTS
+
+    def test_bad_cell_after_the_memo_is_full_names_its_line(self, tmp_path):
+        rng = np.random.default_rng(9)
+        n_rows = features._MEMO_TEXTS // 2 + 50
+        write_dataset_csv(make_dataset(rng.normal(size=(n_rows, 3)), rng.integers(0, 2, n_rows)), tmp_path / "ds.csv")
+        lines = (tmp_path / "ds.csv").read_text().splitlines()
+        lines[-20] = "x" + lines[-20]
+        (tmp_path / "ds.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"ds.csv: line {len(lines) - 19}: could not convert string to float: 'x"):
+            read_dataset_csv(tmp_path / "ds.csv")
