@@ -431,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         except IngestError as exc:
             print(f"error [{args.command}/ingestion]: {exc}", file=sys.stderr)
             return 1
-        except (ValueError, RuntimeError, OSError) as exc:
+        except (ValueError, RuntimeError, OSError, MemoryError) as exc:
             print(f"error [{args.command}]: {exc}", file=sys.stderr)
             return 1
 

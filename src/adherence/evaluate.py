@@ -269,16 +269,15 @@ def cross_validate(
 _CSV_METRIC_COLS = ["tp", "tn", "fp", "fn", "accuracy", "sensitivity", "specificity", "score"]
 
 
-def write_report(report: CvReport, json_path: str | Path | None = None, csv_path: str | Path | None = None) -> None:
-    if json_path is not None:
-        write_json(json_path, report.to_dict())
-    if csv_path is not None:
-        def fmt(v) -> str:
-            return "" if v is None else (repr(float(v)) if isinstance(v, float) else str(v))
+def write_report(report: CvReport, json_path: str | Path, csv_path: str | Path) -> None:
+    write_json(json_path, report.to_dict())
 
-        def row(kind: str, fold, metrics: dict) -> list[str]:
-            return [kind, fold, *(fmt(metrics.get(c)) for c in _CSV_METRIC_COLS)]
+    def fmt(v) -> str:
+        return "" if v is None else (repr(float(v)) if isinstance(v, float) else str(v))
 
-        rows = [row("fold", f.fold, f.metrics.to_dict()) for f in report.folds]
-        rows += [row("macro", "", report.macro.to_dict()), row("pooled", "", report.pooled.to_dict())]
-        write_csv(csv_path, ["row_kind", "fold", *_CSV_METRIC_COLS], rows)
+    def row(kind: str, fold, metrics: dict) -> list[str]:
+        return [kind, fold, *(fmt(metrics.get(c)) for c in _CSV_METRIC_COLS)]
+
+    rows = [row("fold", f.fold, f.metrics.to_dict()) for f in report.folds]
+    rows += [row("macro", "", report.macro.to_dict()), row("pooled", "", report.pooled.to_dict())]
+    write_csv(csv_path, ["row_kind", "fold", *_CSV_METRIC_COLS], rows)

@@ -14,7 +14,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +119,7 @@ class Profiles:
         return len(self.user_id)
 
     def __iter__(self) -> Iterator[str]:
+        """The user ids in order (cleanse and write_database use it, and perfbench/run.py's users_for sorts them)."""
         return iter(self.user_id.tolist())
 
 
@@ -218,144 +219,144 @@ def _read_table(path: Path, required: list[str], table: str) -> tuple[list[str],
     return header, rows
 
 
-def _column_index(header: list[str], known, table: str) -> dict[str, int]:
-    """Each header column's index; the columns outside known are warned about once, and then ignored."""
-    extra = [c for c in header if c not in known]
-    if extra:
-        warnings.warn(f"{table}: ignoring extra column(s) {extra}")
-    return {c: header.index(c) for c in header}
+class _Table:
+    """One table's data rows as the cells of its known columns, and the first reason each row is left out for.
+
+    Index i of every column is data row i + 1. A row shorter than the header reads empty
+    cells, and a longer one is cut at the header's width. A repeated known name reads its
+    first column, and unknown columns are ignored; each of the two is warned about once.
+    """
+
+    def __init__(self, table: str, header: list[str], rows: list[list[str]], known) -> None:
+        extra = [c for c in header if c not in known]
+        if extra:
+            warnings.warn(f"{table}: ignoring extra column(s) {extra}")
+        repeated = [c for c in known if header.count(c) > 1]
+        if repeated:
+            warnings.warn(f"{table}: reading only the first of each repeated column(s) {repeated}")
+        columns = list(islice(zip_longest(*rows, fillvalue=""), len(header)))
+        columns += [("",) * len(rows)] * (len(header) - len(columns))  # when every row is short
+        self.table = table
+        self.cells = {c: columns[header.index(c)] for c in known if c in header}
+        self.reason = np.full(len(rows), None, dtype=object)
+        self.open = np.ones(len(rows), dtype=bool)
+        self.user_id = np.array([c.strip() for c in self.cells["user_id"]], dtype=object)
+        # The checks every table shares. A NUL would merge "u1\0" with "u1", because numpy text
+        # arrays drop trailing NULs, and every user_id array is as wide as its longest entry.
+        self.reject(np.array([not "".join(row).strip() for row in rows], dtype=bool), "")
+        self.reject(np.fromiter(map(len, rows), np.intp, len(rows)) < len(header), "short row")
+        self.reject(self.user_id == "", "empty user_id")
+        self.reject(np.array(["\0" in u for u in self.user_id], dtype=bool), "NUL in user_id")
+        self.reject(np.fromiter(map(len, self.user_id), np.intp, len(rows)) > MAX_USER_ID, "user_id too long")
+
+    def reject(self, where: np.ndarray, reason) -> None:
+        """Give reason (one text, or one per row) to the rows where holds that have none yet.
+
+        So the order of a table's calls is the precedence of its checks. The reason "" leaves
+        a row out without a reject, as a blank row is.
+        """
+        hit = where & self.open
+        self.reason[hit] = reason[hit] if isinstance(reason, np.ndarray) else reason
+        self.open = self.open & ~hit
+
+    def decode(self, names, parse, missing) -> tuple[np.ndarray, np.ndarray]:
+        """parse(text) of each cell of the named columns, as (len(names), rows), and whether it parsed.
+
+        Each distinct text is parsed once; a cell whose parse raises ValueError reads missing.
+        """
+        cells = list(chain.from_iterable(self.cells[c] for c in names))
+        index = {text: i for i, text in enumerate(dict.fromkeys(cells))}
+        value, parsed = np.full(len(index), missing), np.zeros(len(index), dtype=bool)
+        for text, i in index.items():
+            try:
+                value[i], parsed[i] = parse(text), True
+            except ValueError:
+                pass
+        code = np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)).reshape(len(names), -1)
+        return value[code], parsed[code]
+
+    def close(self, rejects: list[RejectedRow]) -> np.ndarray:
+        """Append the table's rejects to rejects, in row order; returns the rows that no check left out."""
+        rows = np.flatnonzero(self.reason.astype(bool)).tolist()  # None and "" are no reject
+        rejects.extend(RejectedRow(self.table, i + 1, self.reason[i]) for i in rows)
+        return self.open
 
 
-def _user_rows(header: list[str], rows: list[list[str]], table: str,
-               rejects: list[RejectedRow]) -> Iterator[tuple[int, str, list[str]]]:
-    """Yield (row number, user_id, row) for each non-blank row; short rows and
-    rows with an empty user_id, a NUL in it (numpy text arrays drop trailing
-    NULs, so "u1\0" would merge with "u1") or one longer than MAX_USER_ID
-    characters (every user_id array is as wide as its longest) are rejects."""
-    uid = header.index("user_id")
-    for i, row in enumerate(rows, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < len(header):
-            rejects.append(RejectedRow(table, i, "short row"))
-            continue
-        user_id = row[uid].strip()
-        if not user_id:
-            rejects.append(RejectedRow(table, i, "empty user_id"))
-            continue
-        if "\0" in user_id:
-            rejects.append(RejectedRow(table, i, "NUL in user_id"))
-            continue
-        if len(user_id) > MAX_USER_ID:
-            rejects.append(RejectedRow(table, i, "user_id too long"))
-            continue
-        yield i, user_id, row
+def _after_first(user_id: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Whether each row comes after a row of its user_id where first holds."""
+    rows = np.flatnonzero(first)[::-1]
+    earliest = dict(zip(user_id[rows].tolist(), rows.tolist()))
+    return np.arange(len(user_id)) > np.array([earliest.get(u, len(user_id)) for u in user_id.tolist()], dtype=int)
+
+
+def _integer(text: str) -> float:
+    """An integer cell as a float: NaN when empty, +-inf beyond the float range; ValueError when not an integer."""
+    if not text.strip():
+        return math.nan
+    value = int(text)  # int() itself ignores surrounding whitespace
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _parse_acquisitions(path: Path, activity: Activity, table: str,
-                        rejects: list[RejectedRow]) -> list[tuple[str, int, int]]:
+                        rejects: list[RejectedRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The user_id, activity code and date.toordinal() of each accepted row."""
-    header, rows = _read_table(path, ["user_id", "timestamp"], table)
-    idx = _column_index(header, ("user_id", "timestamp", "activity"), table)
-    has_activity = "activity" in idx
-    events = []
-    for i, user_id, row in _user_rows(header, rows, table, rejects):
-        try:
-            day = _parse_date(row[idx["timestamp"]]).toordinal()
-        except ValueError:
-            rejects.append(RejectedRow(table, i, "unparseable timestamp"))
-            continue
-        act = activity
-        if has_activity:
-            try:
-                act = parse_activity(row[idx["activity"]])
-            except ValueError:
-                rejects.append(RejectedRow(table, i, "unknown activity"))
-                continue
-        events.append((user_id, _ACTIVITY_CODE[act], day))
-    return events
+    t = _Table(table, *_read_table(path, ["user_id", "timestamp"], table), ("user_id", "timestamp", "activity"))
+    day, parsed = t.decode(["timestamp"], lambda text: _parse_date(text).toordinal(), 0)
+    t.reject(~parsed[0], "unparseable timestamp")
+    code = np.full(day.shape, _ACTIVITY_CODE[activity])
+    if "activity" in t.cells:
+        code, parsed = t.decode(["activity"], lambda text: _ACTIVITY_CODE[parse_activity(text)], 0)
+        t.reject(~parsed[0], "unknown activity")
+    keep = t.close(rejects)
+    return t.user_id[keep], code[0, keep], day[0, keep]
 
 
-def _parse_int(raw: str) -> int | None:
-    return int(raw) if raw.strip() else None  # int() itself ignores surrounding whitespace
-
-
-def _to_float(value: int | None) -> float:
-    return math.nan if value is None else float(value)  # OverflowError beyond the float range
-
-
-def _parse_demographics(path: Path, rejects: list[RejectedRow]) -> dict[str, tuple[int, list[float]]]:
-    """Each accepted row's user_id -> (status code, demographic values)."""
+def _parse_demographics(path: Path, rejects: list[RejectedRow]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The user_id, status code and demographic values of each accepted row."""
     table = "demographics"
     required = ["user_id", "status", *DEMOGRAPHIC_FIELDS]
-    header, rows = _read_table(path, required, table)
-    idx = _column_index(header, required, table)
-    profiles: dict[str, tuple[int, list[float]]] = {}
-    for i, user_id, row in _user_rows(header, rows, table, rejects):
-        if user_id in profiles:
-            rejects.append(RejectedRow(table, i, f"duplicate user_id {user_id}"))
-            continue
-        values: list[float] = []
-        reason = None
-        for name in DEMOGRAPHIC_FIELDS:
-            try:
-                v = _parse_int(row[idx[name]])
-            except ValueError:
-                reason = f"non-integer {name}"
-                break
-            if v is not None and name in DEMOGRAPHIC_RANGES:
-                lo, hi = DEMOGRAPHIC_RANGES[name]
-                if not lo <= v <= hi:
-                    reason = f"{name} out of range [{lo},{hi}]"
-                    break
-            try:
-                values.append(_to_float(v))
-            except OverflowError:
-                reason = f"{name} too large"
-                break
-        if reason is not None:
-            rejects.append(RejectedRow(table, i, reason))
-            continue
-        status = row[idx["status"]].strip()
-        profiles[user_id] = (STATUS_VALUES.index(status) if status in STATUS_VALUES else -1, values)
-    return profiles
+    t = _Table(table, *_read_table(path, required, table), required)
+    value, parsed = t.decode(DEMOGRAPHIC_FIELDS, _integer, math.nan)
+    checks = []  # each field in order: non-integer, out of range (a huge int too), too large
+    for name, v, ok in zip(DEMOGRAPHIC_FIELDS, value, parsed):
+        checks.append((~ok, f"non-integer {name}"))
+        if name in DEMOGRAPHIC_RANGES:
+            lo, hi = DEMOGRAPHIC_RANGES[name]
+            checks.append(((v < lo) | (v > hi), f"{name} out of range [{lo},{hi}]"))
+        checks.append((np.isinf(v), f"{name} too large"))
+    # A row is a duplicate when an accepted row above it has its user_id, whatever its own values.
+    valid = t.open & ~np.logical_or.reduce([where for where, _ in checks])
+    t.reject(_after_first(t.user_id, valid), "duplicate user_id " + t.user_id)
+    for where, reason in checks:
+        t.reject(where, reason)
+    status, _ = t.decode(["status"], lambda text: STATUS_VALUES.index(text.strip()), -1)
+    keep = t.close(rejects)
+    return t.user_id[keep], status[0, keep], value[:, keep].T
 
 
 def _parse_questionnaire(path: Path, qid: str, instance: int,
-                         rejects: list[RejectedRow]) -> tuple[list[str], list[list[float]]]:
+                         rejects: list[RejectedRow]) -> tuple[np.ndarray, np.ndarray]:
     """The user_id and answers of each accepted row that answers at least one item."""
     table = f"{qid}_{instance}"
-    n_items = QUESTIONNAIRE_ITEMS[qid]
-    q_cols = [f"Q{i}" for i in range(1, n_items + 1)]
+    q_cols = [f"Q{i}" for i in range(1, QUESTIONNAIRE_ITEMS[qid] + 1)]
     header, rows = _read_table(path, ["user_id", *q_cols], table)
     # A Q-column beyond the questionnaire's item count is a schema violation,
     # not schema growth.
     unknown_q = [c for c in header if c.startswith("Q") and c[1:].isdigit() and c not in q_cols]
     if unknown_q:
         raise IngestError(f"{table}: unknown column(s) {unknown_q}")
-    idx = _column_index(header, ("user_id", *q_cols), table)
-    seen: set[str] = set()
-    users: list[str] = []
-    answers: list[list[float]] = []
-    for i, user_id, row in _user_rows(header, rows, table, rejects):
-        if user_id in seen:
-            rejects.append(RejectedRow(table, i, f"duplicate user_id {user_id}"))
-            continue
-        seen.add(user_id)
-        try:
-            items = [_parse_int(row[idx[c]]) for c in q_cols]
-        except ValueError:
-            rejects.append(RejectedRow(table, i, "non-integer answer"))
-            continue
-        if all(a is None for a in items):
-            continue  # an all-empty row is a non-response, not an answer set
-        try:
-            answers.append(list(map(_to_float, items)))
-        except OverflowError:
-            rejects.append(RejectedRow(table, i, "answer too large"))
-            continue
-        users.append(user_id)
-    return users, answers
+    t = _Table(table, header, rows, ("user_id", *q_cols))
+    # A row is a duplicate when any row above it passed the user_id checks.
+    t.reject(_after_first(t.user_id, t.open), "duplicate user_id " + t.user_id)
+    value, parsed = t.decode(q_cols, _integer, math.nan)
+    t.reject(~parsed.all(axis=0), "non-integer answer")
+    t.reject(np.isnan(value).all(axis=0), "")  # an all-empty row is a non-response, not an answer set
+    t.reject(np.isinf(value).any(axis=0), "answer too large")
+    keep = t.close(rejects)
+    return t.user_id[keep], value[:, keep].T
 
 
 def parse_database(paths: DatabasePaths) -> RawDatabase:
@@ -368,28 +369,24 @@ def parse_database(paths: DatabasePaths) -> RawDatabase:
     (missing file, broken header) raise IngestError.
     """
     rejects: list[RejectedRow] = []
-    events = [e for a in Activity
-              for e in _parse_acquisitions(paths.acquisitions[a], a, f"acquisitions_{ACTIVITY_FILE_STEMS[a]}", rejects)]
-    event_user, activity, day = zip(*events) if events else ((), (), ())
-    demographics = _parse_demographics(paths.demographics, rejects)
+    events = [_parse_acquisitions(paths.acquisitions[a], a, f"acquisitions_{ACTIVITY_FILE_STEMS[a]}", rejects)
+              for a in Activity]
+    event_user, activity, day = (np.concatenate(column) for column in zip(*events))
+    demo_user, status, demographics = _parse_demographics(paths.demographics, rejects)
     answers = {key: _parse_questionnaire(path, *key, rejects) for key, path in sorted(paths.questionnaires.items())}
-    # One text array of the distinct users only: a numpy text array is as wide as its longest entry.
-    users = np.array(sorted({*event_user, *demographics, *chain.from_iterable(u for u, _ in answers.values())}),
-                     dtype=str)
-    row_of = {u: row for row, u in enumerate(users.tolist())}
-    rows = np.array([row_of[u] for u in demographics], dtype=np.int64)
-    in_demographics = np.zeros(len(users), dtype=bool)
-    in_demographics[rows] = True
-    status = np.full(len(users), -1, dtype=np.int8)
-    status[rows] = [code for code, _ in demographics.values()]
+    ids = [event_user, demo_user, *(u for u, _ in answers.values())]
+    # Text arrays as wide as the longest accepted user_id; one sort gives every row its user's.
+    users, user = np.unique(np.concatenate([u.astype(str) for u in ids]), return_inverse=True)
+    event_row, demo_row, *answer_rows = np.split(user, np.cumsum([len(u) for u in ids])[:-1])
+    in_demographics = np.bincount(demo_row, minlength=len(users)).astype(bool)
+    status_code = np.full(len(users), -1, dtype=np.int8)
+    status_code[demo_row] = status
     static = np.full((len(users), len(STATIC_COLUMNS)), np.nan)
-    static[rows, : len(DEMOGRAPHIC_FIELDS)] = \
-        np.reshape([v for _, v in demographics.values()], (-1, len(DEMOGRAPHIC_FIELDS)))
-    for (qid, instance), (ids, values) in answers.items():
-        static[np.array([row_of[u] for u in ids], dtype=np.int64), answer_columns(qid, instance)] = \
-            np.reshape(values, (-1, QUESTIONNAIRE_ITEMS[qid]))
-    return RawDatabase(profiles=Profiles(users, in_demographics, status, static),
-                       events=Events.from_ordinals([row_of[u] for u in event_user], activity, day), rejects=rejects)
+    static[demo_row, : len(DEMOGRAPHIC_FIELDS)] = demographics
+    for ((qid, instance), (_, values)), rows in zip(answers.items(), answer_rows):
+        static[rows, answer_columns(qid, instance)] = values
+    return RawDatabase(profiles=Profiles(users, in_demographics, status_code, static),
+                       events=Events.from_ordinals(event_row, activity, day), rejects=rejects)
 
 
 # Why cleanse removes a user, in order of precedence.

@@ -22,28 +22,30 @@ with open(here.parent.parent / "order.txt", "a") as fh:
 if int(a.seed) in SILENT:
     sys.exit(0)
 print("a table line")
+# perfbench/run.py --workload all names each metric <workload>.<metric>
+prefixes = ["desk.", "scale_ingest."] if a.workload == "all" and PREFIXED else [""]
 print(json.dumps({"correct": True, "attempted": 10, "failed": FAILED, "metrics": {
-    "prepare_s": {"value": SPEED * int(a.seed), "unit": "s"},
-    "score_pooled": {"value": 0.5 + 0.01 * SPEED, "unit": "1"},
+    **{p + "prepare_s": {"value": SPEED * int(a.seed) * (1 + len(p)), "unit": "s"} for p in prefixes},
+    **{p + "score_pooled": {"value": 0.5 + 0.01 * SPEED, "unit": "1"} for p in prefixes},
 }}))
 """
 
-BENCHMARK = {"end_to_end": [
+BENCHMARK = {"workloads": [{"name": "desk"}, {"name": "scale_ingest"}], "end_to_end": [
     {"name": "setup_s", "better": "lower"},
     {"name": "prepare_s", "better": "lower"},
     {"name": "score_pooled", "better": "higher"},
 ]}
 
 
-def checkout(root, name, speed, failed=0, silent=()):
+def checkout(root, name, speed, failed=0, silent=(), prefixed=True):
     (root / name / "perfbench").mkdir(parents=True)
     (root / name / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
-    (root / name / "perfbench" / "run.py").write_text(FAKE_RUN.replace("SPEED", repr(speed)).replace("FAILED", repr(failed)).replace("SILENT", repr(list(silent))))
+    (root / name / "perfbench" / "run.py").write_text(FAKE_RUN.replace("SPEED", repr(speed)).replace("FAILED", repr(failed)).replace("SILENT", repr(list(silent))).replace("PREFIXED", repr(prefixed)))
     return root / name
 
 
-def bench(parent, change, pairs=4):
-    argv = [sys.executable, str(TOOL), "--parent", str(parent), "--change", str(change), "--workload", "desk",
+def bench(parent, change, pairs=4, workload="desk"):
+    argv = [sys.executable, str(TOOL), "--parent", str(parent), "--change", str(change), "--workload", workload,
             "--pairs", str(pairs), "--seconds", "5"]
     return subprocess.run(argv, capture_output=True, text=True, timeout=120)
 
@@ -70,3 +72,22 @@ def test_a_run_without_a_result_exits_1(tmp_path):
     assert proc.returncode == 1
     assert "the change run at seed 2 printed no result" in proc.stderr
     assert (tmp_path / "order.txt").read_text().split("\n")[:-1] == ["parent 1", "change 1", "change 2"]
+
+
+def test_all_compares_each_workloads_metrics(tmp_path):
+    parent, change = checkout(tmp_path, "parent", 2.0), checkout(tmp_path, "change", 1.5)
+    proc = bench(parent, change, workload="all")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines[1:-2]] == ["desk.prepare_s", "desk.score_pooled",
+                                                        "scale_ingest.prepare_s", "scale_ingest.score_pooled"]
+    [prepare] = [line for line in lines if line.startswith("scale_ingest.prepare_s")]
+    assert prepare.split()[1:] == ["70", "[49,", "91]", "52.5", "[36.75,", "68.25]", "-25.0%", "4/4"]
+
+
+def test_no_metric_compared_exits_1(tmp_path):
+    """Runs of --workload all whose metrics carry no workload name share none of the declared ones."""
+    parent, change = checkout(tmp_path, "parent", 2.0, prefixed=False), checkout(tmp_path, "change", 1.5, prefixed=False)
+    proc = bench(parent, change, workload="all")
+    assert proc.returncode == 1
+    assert "the runs share no end-to-end metric to compare" in proc.stderr

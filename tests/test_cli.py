@@ -149,6 +149,21 @@ class TestWarnings:
         err = capsys.readouterr().err.splitlines()
         assert err == ["warning [ingest]: demographics: ignoring extra column(s) ['extra']"]
 
+    def test_ingest_repeated_column_is_one_line(self, tmp_path, capsys, db_dir):
+        """A second timestamp column of other dates is warned about once; the first one is read."""
+        assert run("ingest", "--db", str(db_dir), "--out", str(tmp_path / "first")) == 0
+        path = db_dir / "acquisitions_physical.csv"
+        rows = list(csv.reader(path.open(newline="")))
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows([[*row, "timestamp" if i == 0 else "2017-01-01"] for i, row in enumerate(rows)])
+        capsys.readouterr()
+        assert run("ingest", "--db", str(db_dir), "--out", str(tmp_path / "o")) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning [ingest]: acquisitions_physical: reading only the first of each repeated column(s) "
+                       "['timestamp']"]
+        for name in ("cleanse_report.csv", "ingest_summary.json", "rejects.csv"):
+            assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+
     def test_cv_small_class_is_one_line(self, tmp_path, capsys):
         y = np.zeros(12, dtype=int)
         y[4] = 1
@@ -870,6 +885,21 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"{prefix}{path}: not UTF-8 text (invalid start byte)"]
         assert "Traceback" not in captured.out
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_size_beyond_memory_is_one_error_line(self, tmp_path, capsys, command):
+        """Arrays of about 10**18 bytes: numpy refuses them at once, and the MemoryError is one line."""
+        rng = np.random.default_rng(5)
+        write_dataset_csv(make_dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20)), tmp_path / "ds.csv")
+        (tmp_path / "cfg.json").write_text(json.dumps({"model": {"kind": "mlp", "hidden_layers": [10**16]}}))
+        argv = {"generate": ["generate", "--n-users", str(10**18)],
+                "train": ["train", "--dataset", str(tmp_path / "ds.csv"), "--config", str(tmp_path / "cfg.json")]}
+        capsys.readouterr()
+        assert run(*argv[command], "--out", str(tmp_path / "o")) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error [{command}]: Unable to allocate "), err
+        assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
     def test_config_that_is_not_a_file_is_usage_error(self, tmp_path, capsys, name):

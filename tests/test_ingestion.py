@@ -350,9 +350,10 @@ def timestamp(draw):
 
 @st.composite
 def table_rows(draw, row, min_size=0, max_size=6):
-    """Rows drawn from row, a few of them blank, a few repeated."""
+    """Rows drawn from row, a few of them blank, a few longer than the header by a cell, a few repeated."""
     rows = draw(st.lists(row, min_size=min_size, max_size=max_size))
     rows = [[] if draw(st.integers(0, 9)) == 0 else r for r in rows]
+    rows = [[*r, draw(cell("note", " "))] if draw(st.integers(0, 5)) == 0 else r for r in rows]
     return rows + (draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else [])
 
 
