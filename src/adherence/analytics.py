@@ -133,7 +133,9 @@ class FieldSummary:
 
 
 def demographic_summary(profiles: Profiles) -> dict[str, FieldSummary]:
-    """Min/max/mean/mode per demographic field over non-null values; the modes are fit_preprocess's."""
+    """Min/max/mean/mode per demographic field over non-null values, {} for no users; the modes are fit_preprocess's."""
+    if not len(profiles):
+        return {}
     fields = list(DEMOGRAPHIC_FIELDS)
     block = profiles.static[:, : len(fields)]
     empty = [name for name, column in zip(fields, block.T) if np.isnan(column).all()]

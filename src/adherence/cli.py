@@ -25,6 +25,7 @@ from .evaluate import cross_validate, write_report
 from .features import (
     LABEL_COLUMN,
     VARIANTS,
+    CsvLines,
     build_variant,
     fit_preprocess,
     read_dataset_csv,
@@ -166,6 +167,13 @@ def cmd_ingest(args, cfg: dict, out: Path):
     return {"db": str(db_dir)}, ["rejects.csv", "cleanse_report.csv", "ingest_summary.json"]
 
 
+def _windows(cleansed):
+    windows = windows_for_database(cleansed)
+    if not windows:
+        warnings.warn("no window samples produced (empty or too-short database)")
+    return windows
+
+
 def _pick_variants(variant: str | None) -> list[str]:
     if variant is None:
         return list(VARIANTS)
@@ -177,18 +185,17 @@ def _pick_variants(variant: str | None) -> list[str]:
 def cmd_build(args, cfg: dict, out: Path):
     variants = _pick_variants(_setting(cfg, "variant", str, flag=args.variant))
     db_dir, db, cleansed, report = _ingest(args)
-    windows = windows_for_database(cleansed)
-    if not windows:
-        warnings.warn("no window samples produced (empty or too-short database)")
+    windows = _windows(cleansed)
     write_windows(windows, out / "windows.csv")
     write_rejects(db.rejects, out / "rejects.csv")
     write_cleanse_report(report, out / "cleanse_report.csv")
     outputs = ["windows.csv", "rejects.csv", "cleanse_report.csv"]
     # variants ascend, so the last is the widest: the first write formats its rows, and every write cuts them
-    widest = build_variant(windows, cleansed.profiles).prefix(variants[-1]).with_csv_lines()
+    widest = build_variant(windows, cleansed.profiles).prefix(variants[-1])
+    lines = CsvLines(widest.X)
     for variant in variants:
         name = f"dataset_{variant}.csv"
-        write_dataset_csv(widest.prefix(variant), out / name)
+        write_dataset_csv(widest.prefix(variant), out / name, lines)
         outputs.append(name)
     print(f"built {len(windows)} windows into {len(variants)} dataset variant(s) -> {out}")
     return {"db": str(db_dir), "variants": variants}, outputs
@@ -197,7 +204,7 @@ def cmd_build(args, cfg: dict, out: Path):
 def cmd_stats(args, cfg: dict, out: Path):
     [variant] = _pick_variants(_setting(cfg, "variant", str, "D0", flag=args.variant))
     db_dir, _, cleansed, report = _ingest(args)
-    windows = windows_for_database(cleansed)
+    windows = _windows(cleansed)
     outputs: list[str] = []
     stats_doc: dict = {"n_users": report.n_retained, "n_windows": len(windows)}
 

@@ -37,9 +37,6 @@ class EvalMetrics:
     specificity: float | None  # recall of class 0
     score: float | None  # sqrt(sensitivity * specificity)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def geometric_score(sensitivity: float | None, specificity: float | None) -> float | None:
     """The challenge metric; undefined when either recall is undefined."""
@@ -119,47 +116,20 @@ def kfold_split(n: int, k: int = 10, labels: np.ndarray | None = None, seed: int
     return [np.flatnonzero(fold_of == f) for f in range(k)]
 
 
-@dataclass
-class FoldResult:
-    fold: int
-    metrics: EvalMetrics
-
-
-@dataclass
-class MacroMetrics:
-    accuracy: float
-    sensitivity: float | None
-    specificity: float | None
-    score: float | None
-    n_folds: int
-    defined: dict[str, int]  # folds contributing to each nullable metric
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def _macro(folds: list[FoldResult]) -> MacroMetrics:
-    def mean_defined(values: list[float | None]) -> tuple[float | None, int]:
-        present = [v for v in values if v is not None]
-        return (float(np.mean(present)) if present else None, len(present))
-
-    sens, n_sens = mean_defined([f.metrics.sensitivity for f in folds])
-    spec, n_spec = mean_defined([f.metrics.specificity for f in folds])
-    score, n_score = mean_defined([f.metrics.score for f in folds])
-    return MacroMetrics(
-        accuracy=float(np.mean([f.metrics.accuracy for f in folds])),
-        sensitivity=sens,
-        specificity=spec,
-        score=score,
-        n_folds=len(folds),
-        defined={"sensitivity": n_sens, "specificity": n_spec, "score": n_score},
-    )
+def _macro(folds: list[EvalMetrics]) -> dict:
+    """The mean of each metric over the folds; a nullable one over the folds that define it, counted in "defined"."""
+    macro = {"accuracy": float(np.mean([m.accuracy for m in folds])), "n_folds": len(folds), "defined": {}}
+    for name in ("sensitivity", "specificity", "score"):
+        present = [v for v in (getattr(m, name) for m in folds) if v is not None]
+        macro[name] = float(np.mean(present)) if present else None
+        macro["defined"][name] = len(present)
+    return macro
 
 
 @dataclass
 class CvReport:
-    folds: list[FoldResult]
-    macro: MacroMetrics
+    folds: list[EvalMetrics]  # in fold order
+    macro: dict  # _macro's
     pooled: EvalMetrics
     fingerprint: dict
     fingerprint_sha256: str
@@ -168,9 +138,9 @@ class CvReport:
         return {
             "fingerprint": self.fingerprint,
             "fingerprint_sha256": self.fingerprint_sha256,
-            "folds": [{"fold": f.fold, **f.metrics.to_dict()} for f in self.folds],
-            "macro": self.macro.to_dict(),
-            "pooled": self.pooled.to_dict(),
+            "folds": [{"fold": f, **dataclasses.asdict(m)} for f, m in enumerate(self.folds)],
+            "macro": self.macro,
+            "pooled": dataclasses.asdict(self.pooled),
         }
 
     def to_json(self) -> str:
@@ -227,7 +197,7 @@ def cross_validate(
     folds = kfold_split(ds.n_rows, k=k, labels=y, seed=seed)
     codes = ColumnCodes(ds.X)
 
-    def run_fold(f: int) -> FoldResult:
+    def run_fold(f: int) -> EvalMetrics:
         try:
             val_idx = folds[f]
             state = fit_preprocess(ds, held_out=val_idx, codes=codes)
@@ -239,7 +209,7 @@ def cross_validate(
                 tr = oversample(tr, _with_seed(resample_cfg, substream_seed(seed, "resample", f)))
             model = build_model(_with_seed(model_cfg, substream_seed(seed, "model", f)))
             model.fit(tr.X, tr.labels(), feature_names=tr.column_names)
-            return FoldResult(f, compute_metrics(va.labels(), model.predict(va.X)))
+            return compute_metrics(va.labels(), model.predict(va.X))
         except Exception as exc:
             raise RuntimeError(f"cross-validation failed in fold {f}: {exc}") from exc
 
@@ -249,35 +219,22 @@ def cross_validate(
     else:
         results = [run_fold(f) for f in range(k)]
 
-    pooled = metrics_from_counts(
-        tp=sum(r.metrics.tp for r in results),
-        tn=sum(r.metrics.tn for r in results),
-        fp=sum(r.metrics.fp for r in results),
-        fn=sum(r.metrics.fn for r in results),
-    )
+    pooled = metrics_from_counts(*np.sum([(m.tp, m.tn, m.fp, m.fn) for m in results], axis=0).tolist())
     fingerprint = _config_fingerprint(ds, model_cfg, resample_cfg, k, seed)
     digest = hashlib.sha256(canonical_json(fingerprint).encode("utf-8")).hexdigest()
-    return CvReport(
-        folds=results,
-        macro=_macro(results),
-        pooled=pooled,
-        fingerprint=fingerprint,
-        fingerprint_sha256=digest,
-    )
+    return CvReport(results, _macro(results), pooled, fingerprint, digest)
 
 
 _CSV_METRIC_COLS = ["tp", "tn", "fp", "fn", "accuracy", "sensitivity", "specificity", "score"]
 
 
 def write_report(report: CvReport, json_path: str | Path, csv_path: str | Path) -> None:
-    write_json(json_path, report.to_dict())
+    """The report as JSON, and its folds, macro and pooled rows as CSV cut from the same document.
 
-    def fmt(v) -> str:
-        return "" if v is None else (repr(float(v)) if isinstance(v, float) else str(v))
-
-    def row(kind: str, fold, metrics: dict) -> list[str]:
-        return [kind, fold, *(fmt(metrics.get(c)) for c in _CSV_METRIC_COLS)]
-
-    rows = [row("fold", f.fold, f.metrics.to_dict()) for f in report.folds]
-    rows += [row("macro", "", report.macro.to_dict()), row("pooled", "", report.pooled.to_dict())]
+    Each value goes to csv.writer as it is, which writes None as the empty cell and a float as its repr.
+    """
+    doc = report.to_dict()
+    write_json(json_path, doc)
+    rows = [["fold", m["fold"], *map(m.get, _CSV_METRIC_COLS)] for m in doc["folds"]]
+    rows += [[kind, "", *map(doc[kind].get, _CSV_METRIC_COLS)] for kind in ("macro", "pooled")]
     write_csv(csv_path, ["row_kind", "fold", *_CSV_METRIC_COLS], rows)

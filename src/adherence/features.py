@@ -12,7 +12,7 @@ import math
 import re
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
@@ -44,8 +44,6 @@ class TabularDataset:
     column_names: list[str]
     X: np.ndarray  # float64, NaN marks null
     y: np.ndarray | None  # {0,1} labels, None for unlabeled feature files
-    # the CSV lines of the rows of a dataset this one is a prefix of, which write_dataset_csv cuts
-    csv_lines: "CsvLines | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -81,11 +79,7 @@ class TabularDataset:
         columns = VARIANT_COLUMNS.get(variant)
         if columns is None or self.column_names[: len(columns)] != columns:
             raise ValueError(f"variant {variant!r} is not a column prefix of this dataset; variants are {VARIANTS}")
-        return TabularDataset(list(columns), self.X[:, : len(columns)], self.y, self.csv_lines)
-
-    def with_csv_lines(self) -> "TabularDataset":
-        """This dataset with a CsvLines of its rows, which every prefix() of it shares."""
-        return replace(self, csv_lines=CsvLines(self.X))
+        return TabularDataset(list(columns), self.X[:, : len(columns)], self.y)
 
     def static_mask(self) -> np.ndarray:
         """True for columns subject to scaling (everything but S1..S12)."""
@@ -271,9 +265,10 @@ def _joined_rows(X: np.ndarray, widths: list[int]) -> Iterator[tuple[list[str], 
 class CsvLines:
     """The rows of a matrix as the lines of its dataset CSV, formatted on first use and then kept.
 
-    A dataset and every prefix() of it share one, so that build formats each cell once however
-    many variants it writes: the line of a prefix is the row's line cut where the prefix's last
-    column ends. The cuts kept are the variants' widths, the only prefixes there are.
+    build makes one of the widest variant's rows and writes every variant from it, so that it
+    formats each cell once however many variants it writes: the line of a prefix() is the row's
+    line cut where the prefix's last column ends. The cuts kept are the variants' widths, the
+    only prefixes there are.
     """
 
     def __init__(self, X: np.ndarray) -> None:
@@ -293,22 +288,19 @@ class CsvLines:
         return ([line[:end] for line, end in zip(lines, ends[:, k].tolist())] for lines, ends in self._blocks)
 
 
-def write_dataset_csv(ds: TabularDataset, path: str | Path) -> None:
+def write_dataset_csv(ds: TabularDataset, path: str | Path, lines: CsvLines | None = None) -> None:
     """Write the dataset as CSV; its header alone names its variant (see read_dataset_csv).
 
     Rows are formatted a block at a time, each distinct value once per block, and each row's cells
     are joined once. The bytes equal one _format_cell per cell: equal floats format alike (0.0 and
-    -0.0 both as "0"), and every NaN as "". A dataset with csv_lines cuts its lines from them; any
-    other formats its own, and holds one block of them at a time.
+    -0.0 both as "0"), and every NaN as "". Given the CsvLines of a dataset that ds is a prefix()
+    of, it cuts ds's lines from them; else it formats its own, and holds one block of them at a time.
     """
-    if ds.csv_lines is None:
-        blocks = (lines for lines, _ in _joined_rows(ds.X, []))
-    else:
-        blocks = ds.csv_lines.blocks(ds.n_cols)
+    blocks = (block for block, _ in _joined_rows(ds.X, [])) if lines is None else lines.blocks(ds.n_cols)
     labeled = ds.y is not None
     if labeled:
         labels = iter(ds.y.tolist())  # map stops at the end of a block's lines, before it takes a label
-        blocks = (list(map("{},{}".format, lines, labels)) for lines in blocks)
+        blocks = (list(map("{},{}".format, block, labels)) for block in blocks)
     write_csv_lines(path, list(ds.column_names) + ([LABEL_COLUMN] if labeled else []), blocks, ds.n_cols + labeled)
 
 

@@ -206,6 +206,9 @@ class TestDemographicSummary:
         with pytest.raises(ValueError, match="no non-null values"):
             demographic_summary(profiles)
 
+    def test_no_users_no_fields(self):
+        assert demographic_summary(make_profiles([])) == {}
+
 
 def window(user, values, label=0):
     """One row for make_windows."""

@@ -206,6 +206,19 @@ class TestStats:
                 histogram_total += int(row["multiplicity"]) * int(row["n_tuples"])
         assert histogram_total == dup["n_rows"]
 
+    def test_database_cleansed_of_every_user_warns_but_succeeds(self, tmp_path, capsys):
+        """Users with no events are all removed: stats warns as build does and reports no users."""
+        (tmp_path / "cfg.json").write_text(json.dumps({"generate": {"start_date": "2018-08-01",
+                                                                    "end_date": "2018-08-20"}}))
+        db, out = tmp_path / "db", tmp_path / "stats"
+        assert run("generate", "--config", str(tmp_path / "cfg.json"), "--n-users", "5", "--out", str(db)) == 0
+        capsys.readouterr()
+        assert run("stats", "--db", str(db), "--out", str(out)) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning [stats]: no window samples produced (empty or too-short database)"]
+        doc = json.loads((out / "stats.json").read_text())
+        assert (doc["n_users"], doc["n_windows"], doc["demographics"]) == (0, 0, {})
+
 
 class TestCv:
     def test_majority_macro_near_prior(self, tmp_path, built):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -129,7 +130,7 @@ class TestCrossValidate:
         ds = random_imbalanced(rng, 200, 3, pos_fraction=0.25)
         report = cross_validate(ds, MajorityConfig(), k=10, seed=1)
         prior = 1.0 - ds.labels().mean()
-        assert report.macro.accuracy == pytest.approx(prior, abs=0.02)
+        assert report.macro["accuracy"] == pytest.approx(prior, abs=0.02)
         assert report.pooled.accuracy == pytest.approx(prior, abs=1e-12)
 
     def test_validation_sets_partition_rows(self):
@@ -242,16 +243,25 @@ class TestCrossValidate:
 
 class TestReportFiles:
     def test_json_and_csv_written(self, tmp_path):
+        """Three positives in five folds leave the folds plain, and a fold without one has no sensitivity."""
         rng = np.random.default_rng(81)
-        ds = random_imbalanced(rng, 60, 2)
-        report = cross_validate(ds, MajorityConfig(), k=5, seed=9)
+        y = np.zeros(60, dtype=np.int64)
+        y[:3] = 1
+        with pytest.warns(UserWarning, match="fewer than 5 members"):
+            report = cross_validate(make_dataset(rng.normal(size=(60, 2)), y), MajorityConfig(), k=5, seed=9)
         jp, cp = tmp_path / "r.json", tmp_path / "r.csv"
         write_report(report, jp, cp)
         doc = json.loads(jp.read_text())
         assert {"fingerprint", "folds", "macro", "pooled"} <= doc.keys()
-        assert len(doc["folds"]) == 5
-        lines = cp.read_text().strip().splitlines()
-        assert lines[0].startswith("row_kind,fold,")
-        assert len(lines) == 1 + 5 + 2  # folds + macro + pooled
-        # undefined metrics stay empty, never coerced to 0
-        assert ",," in lines[1] or lines[1].count(",") >= 9
+        assert [f["fold"] for f in doc["folds"]] == list(range(5))
+        undefined = [f["fold"] for f in doc["folds"] if f["tp"] + f["fn"] == 0]
+        assert undefined
+        with open(cp, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["row_kind"] for r in rows] == ["fold"] * 5 + ["macro", "pooled"]
+        # undefined metrics stay null in JSON and empty in CSV, never coerced to 0
+        for f in undefined:
+            assert doc["folds"][f]["sensitivity"] is None and doc["folds"][f]["score"] is None
+            assert (rows[f]["fold"], rows[f]["sensitivity"], rows[f]["score"]) == (str(f), "", "")
+        assert doc["macro"]["defined"]["sensitivity"] < doc["macro"]["n_folds"] == 5
+        assert rows[5]["tp"] == rows[5]["fold"] == ""
