@@ -130,7 +130,7 @@ def _synth_config(section: dict, seed: int) -> synthgen.SynthConfig:
         for key, rate in values["null_rates"].items():
             qid, _, inst = key.partition("_")
             rates[(qid, int(inst))] = rate
-        values["null_rates"] = {**synthgen.DEFAULT_NULL_RATES, **rates}
+        values["null_rates"] = rates
     return from_json(synthgen.SynthConfig, values)
 
 
@@ -217,25 +217,20 @@ def cmd_stats(args, cfg: dict, out: Path):
 
     rows = analytics.null_rates(cleansed.profiles)
     table("null_rates", ["questionnaire", "feature_group", "instance", "pct_null"],
-          ([r.questionnaire, r.feature_group, r.instance, f"{r.pct_null:.2f}"] for r in rows),
-          [dataclasses.asdict(r) for r in rows])
+          ([r["questionnaire"], r["feature_group"], r["instance"], f"{r['pct_null']:.2f}"] for r in rows), rows)
 
     alphas = analytics.questionnaire_alpha_reports(cleansed.profiles)
     table("cronbach_alpha", ["questionnaire", "instance", "alpha", "n_respondents"],
-          ([a.questionnaire, a.instance, "" if a.alpha is None else f"{a.alpha:.4f}", a.n_respondents]
-           for a in alphas),
-          [dataclasses.asdict(a) for a in alphas])
+          ([a["questionnaire"], a["instance"], "" if a["alpha"] is None else f"{a['alpha']:.4f}", a["n_respondents"]]
+           for a in alphas), alphas)
 
     demo = analytics.demographic_summary(cleansed.profiles)
     table("demographics", ["field", "min", "max", "mean", "mode"],
-          ([name, s.minimum, s.maximum, f"{s.mean:.4f}", s.mode] for name, s in demo.items()),
-          {k: dataclasses.asdict(v) for k, v in demo.items()})
+          ([name, s["minimum"], s["maximum"], f"{s['mean']:.4f}", s["mode"]] for name, s in demo.items()), demo)
 
     if windows:
         dist = analytics.acquisition_distribution(windows)
-        table("acquisition_distribution", ["bin_start", "bin_end", "count"],
-              ([b.start, b.end, b.count] for b in dist.bins),
-              {"mean": dist.mean, "min": dist.minimum, "max": dist.maximum})
+        table("acquisition_distribution", ["bin_start", "bin_end", "count"], dist.pop("bins"), dist)
 
         d6 = build_variant(windows, cleansed.profiles)
         corr, names = analytics.session_correlation_matrix(d6.prefix("D0"))
@@ -244,13 +239,9 @@ def cmd_stats(args, cfg: dict, out: Path):
                for name, row in zip(names, corr)))
 
         dup = analytics.duplicate_analysis(d6.prefix(variant))
-        table("duplicates", ["multiplicity", "n_tuples"], dup.multiplicity_histogram.items(), {
-            "variant": variant,
-            "n_rows": dup.n_rows,
-            "n_distinct": dup.n_distinct,
-            "n_duplicate_groups": len(dup.duplicates),
-            "top_groups": [dataclasses.asdict(g) for g in dup.duplicates[:20]],
-        })
+        duplicates = dup.pop("duplicates")
+        table("duplicates", ["multiplicity", "n_tuples"], dup.pop("multiplicity_histogram").items(),
+              {**dup, "variant": variant, "n_duplicate_groups": len(duplicates), "top_groups": duplicates[:20]})
 
     write_json(out / "stats.json", stats_doc)
     print(f"stats written -> {out}")

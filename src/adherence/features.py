@@ -46,7 +46,7 @@ class TabularDataset:
     y: np.ndarray | None  # {0,1} labels, None for unlabeled feature files
 
     def __post_init__(self) -> None:
-        self.X = np.ascontiguousarray(self.X, dtype=np.float64)
+        self.X = np.asarray(self.X, dtype=np.float64)
         if self.X.ndim != 2:
             raise ValueError("X must be 2-dimensional")
         if self.X.shape[1] != len(self.column_names):
@@ -75,7 +75,7 @@ class TabularDataset:
         return self.y
 
     def prefix(self, variant: str) -> "TabularDataset":
-        """The leading columns that make up ``variant``, with every row and label."""
+        """The leading columns that make up ``variant``, with every row and label; X is a view of this X."""
         columns = VARIANT_COLUMNS.get(variant)
         if columns is None or self.column_names[: len(columns)] != columns:
             raise ValueError(f"variant {variant!r} is not a column prefix of this dataset; variants are {VARIANTS}")

@@ -77,10 +77,13 @@ class SynthConfig:
     # Planned program length; users stop cleanly when they complete it.
     program_weeks_min: int = 20
     program_weeks_max: int = 44
-    null_rates: dict[tuple[str, int], float] = field(default_factory=lambda: dict(DEFAULT_NULL_RATES))
-    demographic_ranges: dict[str, tuple[int, int]] = field(default_factory=lambda: dict(DEFAULT_DEMOGRAPHIC_RANGES))
+    # each holds every instance or field: the ones a partial dict leaves out keep their defaults
+    null_rates: dict[tuple[str, int], float] = field(default_factory=dict)
+    demographic_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.null_rates = {**DEFAULT_NULL_RATES, **self.null_rates}
+        self.demographic_ranges = {**DEFAULT_DEMOGRAPHIC_RANGES, **self.demographic_ranges}
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if self.start_date >= self.end_date:
@@ -126,7 +129,7 @@ def generate(cfg: SynthConfig) -> RawDatabase:
     events: list[tuple[int, int, int]] = []  # (user number, activity code, date.toordinal())
     status = np.empty(cfg.n_users, dtype=np.int8)
     static = np.full((cfg.n_users, len(STATIC_COLUMNS)), np.nan)
-    ranges = [{**DEFAULT_DEMOGRAPHIC_RANGES, **cfg.demographic_ranges}[name] for name in DEMOGRAPHIC_FIELDS]
+    ranges = [cfg.demographic_ranges[name] for name in DEMOGRAPHIC_FIELDS]
 
     for i in range(cfg.n_users):
         static[i, : len(ranges)] = [int(rng.integers(lo, hi + 1)) for lo, hi in ranges]
@@ -176,8 +179,7 @@ def generate(cfg: SynthConfig) -> RawDatabase:
             lo, hi = QUESTIONNAIRE_SCALES[qid]
             mid = (lo + hi) / 2.0
             for instance in QUESTIONNAIRE_INSTANCES[qid]:
-                null_rate = cfg.null_rates.get((qid, instance), 0.0)
-                responds = rng.random() >= null_rate
+                responds = rng.random() >= cfg.null_rates[(qid, instance)]
                 latent = float(rng.normal())
                 # one draw of every item gives the doubles of one draw per item; rint rounds half to even, as round does
                 raw = mid + 0.9 * latent + rng.normal(size=QUESTIONNAIRE_ITEMS[qid]) * 0.6

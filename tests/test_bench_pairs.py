@@ -21,6 +21,10 @@ with open(here.parent.parent / "order.txt", "a") as fh:
     fh.write(f"{here.parent.name} {a.seed}\\n")
 if int(a.seed) in SILENT:
     sys.exit(0)
+if int(a.seed) in FAILING:
+    print("a first message", file=sys.stderr)
+    print(f"run.py: workload {a.workload} failed", file=sys.stderr)
+    sys.exit(3)
 print("a table line")
 # perfbench/run.py --workload all names each metric <workload>.<metric>
 prefixes = ["desk.", "scale_ingest."] if a.workload == "all" and PREFIXED else [""]
@@ -37,10 +41,10 @@ BENCHMARK = {"workloads": [{"name": "desk"}, {"name": "scale_ingest"}], "end_to_
 ]}
 
 
-def checkout(root, name, speed, failed=0, silent=(), prefixed=True):
+def checkout(root, name, speed, failed=0, silent=(), failing=(), prefixed=True):
     (root / name / "perfbench").mkdir(parents=True)
     (root / name / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
-    (root / name / "perfbench" / "run.py").write_text(FAKE_RUN.replace("SPEED", repr(speed)).replace("FAILED", repr(failed)).replace("SILENT", repr(list(silent))).replace("PREFIXED", repr(prefixed)))
+    (root / name / "perfbench" / "run.py").write_text(FAKE_RUN.replace("SPEED", repr(speed)).replace("FAILED", repr(failed)).replace("SILENT", repr(list(silent))).replace("FAILING", repr(list(failing))).replace("PREFIXED", repr(prefixed)))
     return root / name
 
 
@@ -70,8 +74,15 @@ def test_a_run_without_a_result_exits_1(tmp_path):
     parent, change = checkout(tmp_path, "parent", 2.0), checkout(tmp_path, "change", 1.5, silent=[2])
     proc = bench(parent, change)
     assert proc.returncode == 1
-    assert "the change run at seed 2 printed no result" in proc.stderr
+    assert "the change run at seed 2 printed no result (exit code 0, last stderr line: (none))" in proc.stderr
     assert (tmp_path / "order.txt").read_text().split("\n")[:-1] == ["parent 1", "change 1", "change 2"]
+
+    failing = checkout(tmp_path / "second", "change", 1.5, failing=[1])
+    proc = bench(parent, failing)
+    assert proc.returncode == 1
+    [error] = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert error == ("error: the change run at seed 1 printed no result "
+                     "(exit code 3, last stderr line: run.py: workload desk failed)")
 
 
 def test_all_compares_each_workloads_metrics(tmp_path):

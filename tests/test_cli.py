@@ -206,6 +206,42 @@ class TestStats:
                 histogram_total += int(row["multiplicity"]) * int(row["n_tuples"])
         assert histogram_total == dup["n_rows"]
 
+    def test_csvs_agree_with_stats_json(self, tmp_path, db_dir):
+        """Every stats CSV row is its stats.json entry in the CSV's cell format."""
+        out = tmp_path / "stats"
+        assert run("stats", "--db", str(db_dir), "--variant", "D3", "--out", str(out)) == 0
+        doc = json.loads((out / "stats.json").read_text())
+
+        def rows(name):
+            with open(out / f"{name}.csv", newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        assert [[r["questionnaire"], r["feature_group"], int(r["instance"]), r["pct_null"]]
+                for r in rows("null_rates")] == [
+            [e["questionnaire"], e["feature_group"], e["instance"], f"{e['pct_null']:.2f}"] for e in doc["null_rates"]]
+        alphas = rows("cronbach_alpha")
+        assert [[r["questionnaire"], int(r["instance"]), r["alpha"], int(r["n_respondents"])] for r in alphas] == [
+            [e["questionnaire"], e["instance"], "" if e["alpha"] is None else f"{e['alpha']:.4f}", e["n_respondents"]]
+            for e in doc["cronbach_alpha"]]
+        assert any(r["alpha"] for r in alphas)
+        demographics = rows("demographics")
+        assert sorted(r["field"] for r in demographics) == list(doc["demographics"])  # stats.json sorts its keys
+        for r in demographics:
+            e = doc["demographics"][r["field"]]
+            assert (float(r["min"]), float(r["max"]), float(r["mode"])) == (e["minimum"], e["maximum"], e["mode"])
+            assert r["mean"] == f"{e['mean']:.4f}"
+        # stats writes no windows, so the users with windows are counted in build's windows.csv
+        assert run("build", "--db", str(db_dir), "--variant", "D0", "--out", str(tmp_path / "built")) == 0
+        with open(tmp_path / "built" / "windows.csv", newline="") as fh:
+            n_users = len({r["user_id"] for r in csv.DictReader(fh)})
+        assert sum(int(r["count"]) for r in rows("acquisition_distribution")) == n_users
+        assert set(doc["acquisition_distribution"]) == {"mean", "min", "max"}
+        dup, histogram = doc["duplicates"], rows("duplicates")
+        assert dup["variant"] == "D3"
+        assert sum(int(r["multiplicity"]) * int(r["n_tuples"]) for r in histogram) == dup["n_rows"]
+        assert sum(int(r["n_tuples"]) for r in histogram) == dup["n_distinct"]
+        assert sum(int(r["n_tuples"]) for r in histogram if int(r["multiplicity"]) >= 2) == dup["n_duplicate_groups"]
+
     def test_database_cleansed_of_every_user_warns_but_succeeds(self, tmp_path, capsys):
         """Users with no events are all removed: stats warns as build does and reports no users."""
         (tmp_path / "cfg.json").write_text(json.dumps({"generate": {"start_date": "2018-08-01",

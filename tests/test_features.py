@@ -87,6 +87,12 @@ class TestVariantColumns:
         with pytest.raises(ValueError, match="'D0' is not a column prefix"):
             renamed.prefix("D0")
 
+    def test_prefix_shares_its_parents_memory(self, small_cleansed):
+        d6 = build_variant(windows_for_database(small_cleansed), small_cleansed.profiles)
+        for variant in VARIANTS:
+            assert np.shares_memory(d6.prefix(variant).X, d6.X)
+        assert np.array_equal(d6.prefix("D3").X, d6.X[:, : VARIANT_COLUMN_COUNTS["D3"]], equal_nan=True)
+
     def test_user_id_never_a_feature(self, small_cleansed):
         windows = windows_for_database(small_cleansed)
         ds = build_variant(windows, small_cleansed.profiles)

@@ -104,6 +104,20 @@ class TestGeneratedShape:
         missing = np.isnan(db.profiles.static[:, answer_columns("ucla", 3)]).all(axis=1).sum()
         assert missing / 400 == pytest.approx(0.8, abs=0.05)
 
+    def test_partial_null_rates_keep_the_other_defaults(self):
+        partial = {("ucla", 3): 0.5}
+        cfg = SynthConfig(seed=5, n_users=40, null_rates=partial)
+        assert cfg.null_rates == {**synthgen.DEFAULT_NULL_RATES, **partial}
+        a = generate(cfg)
+        b = generate(SynthConfig(seed=5, n_users=40, null_rates={**synthgen.DEFAULT_NULL_RATES, **partial}))
+        assert np.array_equal(a.profiles.static, b.profiles.static, equal_nan=True)
+        for column in ("user", "activity", "day"):
+            assert np.array_equal(getattr(a.events, column), getattr(b.events, column))
+
+    def test_partial_demographic_ranges_keep_the_other_defaults(self):
+        cfg = SynthConfig(demographic_ranges={"education": (2, 5)})
+        assert cfg.demographic_ranges == {**synthgen.DEFAULT_DEMOGRAPHIC_RANGES, "education": (2, 5)}
+
     def test_majority_low_adherence_on_defaults(self):
         cfg = SynthConfig(seed=7, n_users=120)
         cleansed, _ = cleanse(generate(cfg))

@@ -10,7 +10,8 @@ declares and every run reports, it prints the median and the quartiles of both s
 relative change of the median, and in how many pairs the change was better; then the failed
 and attempted operations of both sides. With `--workload all` the metrics are those of each
 declared workload, named `<workload>.<metric>` as perfbench names them. It exits 1 as soon as a
-run prints no result, and when the runs share no metric to compare.
+run prints no result, naming that run's exit code and last line of stderr, and when the runs
+share no metric to compare.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ import numpy as np
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The JSON result of one benchmark run of checkout, or None if its last line of stdout is not one."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | str:
+    """The JSON result of one benchmark run of checkout; if its last line of stdout is not one, why not.
+
+    The reason names the run's exit code and the last line it wrote to stderr.
+    """
     argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -35,8 +39,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return None
-    return result if isinstance(result, dict) and "metrics" in result else None
+        result = None
+    if isinstance(result, dict) and "metrics" in result:
+        return result
+    stderr = proc.stderr.strip().splitlines()
+    return f"exit code {proc.returncode}, last stderr line: {stderr[-1] if stderr else '(none)'}"
 
 
 def declared(benchmark: dict, workload: str) -> dict[str, str]:
@@ -79,8 +86,8 @@ def main(argv=None) -> int:
     for seed in range(1, args.pairs + 1):
         for side in SIDES if seed % 2 else SIDES[::-1]:
             result = run_once(checkouts[side], args.workload, seed, args.seconds)
-            if result is None:
-                print(f"error: the {side} run at seed {seed} printed no result", file=sys.stderr)
+            if isinstance(result, str):
+                print(f"error: the {side} run at seed {seed} printed no result ({result})", file=sys.stderr)
                 return 1
             results[side].append(result)
             print(f"seed {seed} {side}: " + ", ".join(f"{name} {result['metrics'][name]['value']:.4g}"
