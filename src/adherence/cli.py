@@ -371,7 +371,7 @@ _FLAGS = {
     "--model": dict(help="model kind: knn|tree|forest|gbt|mlp|majority"),
     "--resampler": dict(help="none|random|smote|adasyn"),
     "--k": dict(type=int, help="number of folds (default 10)"),
-    "--jobs": dict(type=int, help="fold-level worker threads"),
+    "--jobs": dict(type=int, help="fold-level worker processes (forked)"),
     "--no-preprocess": dict(action="store_true", help="skip imputation/scaling"),
     "--model-file": dict(help="model JSON written by train"),
 }

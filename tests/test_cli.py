@@ -4,7 +4,9 @@ import functools
 import io
 import json
 import math
+import multiprocessing
 import operator
+import os
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adherence import evaluate
 from adherence.cli import build_parser, main
 from adherence.features import read_dataset_csv, write_dataset_csv
 from adherence.learn.serialize import decode_array, encode_array
@@ -309,6 +312,27 @@ class TestCv:
             err = capsys.readouterr().err.strip().splitlines()
             assert code == 2, flags
             assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+    @pytest.mark.parametrize("death", ["raise", "exit"])
+    def test_failed_fold_in_worker_is_one_line(self, tmp_path, capfd, monkeypatch, death):
+        """A fold that raises, or whose forked worker dies, ends in exit 1 with one error line and no traceback."""
+        def failing(cfg):
+            if death == "exit":
+                os._exit(3)
+            raise ValueError("planted failure")
+
+        rng = np.random.default_rng(10)
+        write_dataset_csv(make_dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20)), tmp_path / "ds.csv")
+        monkeypatch.setattr(evaluate, "build_model", failing)
+        capfd.readouterr()
+        code = run("cv", "--dataset", str(tmp_path / "ds.csv"), "--model", "majority", "--k", "2",
+                   "--jobs", "2", "--out", str(tmp_path / "o"))
+        err = capfd.readouterr().err.strip().splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error [cv]: "), err
+        if death == "raise":
+            assert err == ["error [cv]: cross-validation failed in fold 0: planted failure"]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_bad_k_is_usage_error(self, tmp_path, capsys, k):

@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from adherence import evaluate
 from adherence.evaluate import (
     compute_metrics,
     cross_validate,
@@ -239,6 +242,68 @@ class TestCrossValidate:
         a = cross_validate(ds, cfg, k=4, seed=12, n_jobs=1)
         b = cross_validate(ds, cfg, k=4, seed=12, n_jobs=4)
         assert a.to_json() == b.to_json()
+
+
+def _record_pid(directory):
+    """Append one line to a file named by this process's id, in directory."""
+    with open(directory / str(os.getpid()), "a") as fh:
+        fh.write("x\n")
+
+
+class TestProcessPool:
+    """Folds at n_jobs > 1 run in forked worker processes, which inherit the monkeypatches below."""
+
+    def test_folds_run_in_worker_processes(self, tmp_path, monkeypatch):
+        ds = random_imbalanced(np.random.default_rng(83), 60, 2)
+        build_model = evaluate.build_model
+
+        def recording(cfg):
+            _record_pid(tmp_path)
+            return build_model(cfg)
+
+        monkeypatch.setattr(evaluate, "build_model", recording)
+        cross_validate(ds, ForestConfig(n_trees=2), k=4, seed=1, n_jobs=2)
+        assert sum(len(p.read_text().splitlines()) for p in tmp_path.iterdir()) == 4
+        assert str(os.getpid()) not in {p.name for p in tmp_path.iterdir()}
+        assert multiprocessing.active_children() == []
+
+    def test_workers_capped_at_folds(self, tmp_path, monkeypatch):
+        ds = random_imbalanced(np.random.default_rng(84), 60, 2)
+        adopt = evaluate._adopt
+        workers, folds = tmp_path / "workers", tmp_path / "folds"
+        workers.mkdir()
+        folds.mkdir()
+        build_model = evaluate.build_model
+
+        def adopting(run_fold):
+            _record_pid(workers)
+            adopt(run_fold)
+
+        def recording(cfg):
+            _record_pid(folds)
+            return build_model(cfg)
+
+        monkeypatch.setattr(evaluate, "_adopt", adopting)
+        monkeypatch.setattr(evaluate, "build_model", recording)
+        cross_validate(ds, ForestConfig(n_trees=2), k=3, seed=2, n_jobs=8)
+        worker_pids = {p.name for p in workers.iterdir()}
+        assert len(worker_pids) <= 3
+        assert {p.name for p in folds.iterdir()} <= worker_pids and str(os.getpid()) not in worker_pids
+
+    def test_fold_error_same_at_any_jobs(self, monkeypatch):
+        ds = random_imbalanced(np.random.default_rng(85), 60, 2)
+
+        def failing(cfg):
+            raise ValueError("planted failure")
+
+        monkeypatch.setattr(evaluate, "build_model", failing)
+        messages = []
+        for n_jobs in (1, 2):
+            with pytest.raises(RuntimeError) as info:
+                cross_validate(ds, ForestConfig(n_trees=2), k=4, seed=3, n_jobs=n_jobs)
+            messages.append(str(info.value))
+        assert messages == ["cross-validation failed in fold 0: planted failure"] * 2
+        assert multiprocessing.active_children() == []
 
 
 class TestReportFiles:
